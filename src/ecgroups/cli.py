@@ -219,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--seed", type=int, default=0)
     top.add_argument("--format", choices=["json", "table"], default="json")
     top.add_argument("--out", default=None)
-    top.add_argument("--jobs", type=int, default=1)
     sub = top.add_subparsers(dest="command", required=True)
 
     def cmd(name, fn, *, needs_curve=True):

@@ -9,7 +9,7 @@ and Edwards models, and exhaustive classification over tiny fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (
     BadCharacteristic,
@@ -55,6 +55,17 @@ class Curve:
 
     def coefficients(self):
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
+
+    @cached_property
+    def nonsingular(self) -> bool:
+        return not discriminant(self).is_zero()
+
+    @cached_property
+    def int_coefficients(self) -> tuple[int, ...] | None:
+        """(a1, a2, a3, a4, a6) as residues mod p over a prime field, else None."""
+        if self.field.n != 1:
+            return None
+        return tuple(c.coeffs[0] for c in self.coefficients())
 
     def is_short(self) -> bool:
         return all(c.is_zero() for c in (self.a1, self.a2, self.a3))
@@ -187,7 +198,7 @@ def j_invariant(E: Curve) -> FieldElement:
 
 
 def is_nonsingular(E: Curve) -> bool:
-    return not discriminant(E).is_zero()
+    return E.nonsingular
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ All operations are pure; values are immutable and thread-safe.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import lru_cache
 
 from . import intutil
@@ -183,6 +183,13 @@ class FieldSpec:
             if not _irreducible(m, self.p, self.n):
                 raise ValueError("modulus is reducible over F_p")
 
+    def __hash__(self):
+        # hash(None) follows the object's address before Python 3.12, so a
+        # prime field hashes its absent modulus as (); set and dict order of
+        # elements, and every seeded choice made from them, then repeat
+        # from run to run.
+        return hash((self.p, self.n, self.modulus or ()))
+
     @property
     def q(self) -> int:
         return self.p ** self.n
@@ -194,7 +201,7 @@ class FieldSpec:
     def __call__(self, value) -> FieldElement:
         """Coerce an int (prime-subfield constant) or coefficient sequence."""
         if isinstance(value, FieldElement):
-            if value.field != self:
+            if value.field is not self and value.field != self:
                 raise MixedFields("element belongs to a different field")
             return value
         if isinstance(value, int):
@@ -214,9 +221,17 @@ class FieldSpec:
         return self(1)
 
     def elements(self):
-        """All field elements in canonical (lexicographic coefficient) order."""
-        for coeffs in itertools.product(range(self.p), repeat=self.n):
-            yield FieldElement(self, coeffs)
+        """All field elements in canonical (lexicographic coefficient) order.
+
+        Lazy: a prime field counts through range(p), so the first elements
+        of a huge field cost nothing (itertools.product would first store
+        all p residues)."""
+        if self.n == 1:
+            for c in range(self.p):
+                yield FieldElement(self, (c,))
+        else:
+            for coeffs in itertools.product(range(self.p), repeat=self.n):
+                yield FieldElement(self, coeffs)
 
     def random_element(self, rng) -> FieldElement:
         return FieldElement(self, tuple(rng.randrange(self.p) for _ in range(self.n)))
@@ -228,19 +243,47 @@ class FieldSpec:
         return f"p={self.p};n={self.n};mod={mod}"
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    field: FieldSpec
-    coeffs: tuple[int, ...]
+_setattr = object.__setattr__
 
-    def __post_init__(self):
-        assert len(self.coeffs) == self.field.n
+
+class FieldElement:
+    """An element of `field`, held as its canonical coefficient vector
+    `coeffs` (length field.n). Immutable; equal elements hash equally."""
+
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field: FieldSpec, coeffs: tuple[int, ...]):
+        if len(coeffs) != field.n:
+            raise ValueError(f"an element of {field} has {field.n} coefficients")
+        _setattr(self, "field", field)
+        _setattr(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return FieldElement, (self.field, self.coeffs)
+
+    def __eq__(self, other):
+        if other.__class__ is not FieldElement:
+            return NotImplemented
+        return self.coeffs == other.coeffs and (
+            self.field is other.field or self.field == other.field)
+
+    def __hash__(self):
+        return hash((self.field, self.coeffs))
+
+    def __repr__(self):
+        return f"FieldElement(field={self.field!r}, coeffs={self.coeffs!r})"
 
     # -- ring structure ----------------------------------------------------
 
     def _coerce(self, other) -> FieldElement:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
+        if other.__class__ is FieldElement:
+            if other.field is not self.field and other.field != self.field:
                 raise MixedFields("operands from different fields")
             return other
         if isinstance(other, int):
@@ -249,19 +292,21 @@ class FieldElement:
 
     def __add__(self, other):
         other = self._coerce(other)
-        p = self.field.p
-        return FieldElement(
-            self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs))
-        )
+        f = self.field
+        if f.n == 1:
+            return FieldElement(f, ((self.coeffs[0] + other.coeffs[0]) % f.p,))
+        p = f.p
+        return FieldElement(f, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._coerce(other)
-        p = self.field.p
-        return FieldElement(
-            self.field, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs))
-        )
+        f = self.field
+        if f.n == 1:
+            return FieldElement(f, ((self.coeffs[0] - other.coeffs[0]) % f.p,))
+        p = f.p
+        return FieldElement(f, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -286,7 +331,7 @@ class FieldElement:
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
         if f.n == 1:
-            return FieldElement(f, (pow(self.coeffs[0], f.p - 2, f.p),))
+            return FieldElement(f, (pow(self.coeffs[0], -1, f.p),))
         inv = _pinvmod(self.coeffs, f.modulus, f.p)
         return FieldElement(f, tuple(inv) + (0,) * (f.n - len(inv)))
 
@@ -300,7 +345,10 @@ class FieldElement:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.field.one()
+        f = self.field
+        if f.n == 1:
+            return FieldElement(f, (pow(self.coeffs[0], e, f.p),))
+        result = f.one()
         base = self
         while e:
             if e & 1:
@@ -312,7 +360,7 @@ class FieldElement:
     # -- predicates and views ----------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def canonical_index(self) -> int:
         """Integer encoding: sum coeff_i * p^i; total order on the field."""
@@ -331,7 +379,7 @@ class FieldElement:
         return ":".join(str(c) for c in self.coeffs)
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -488,16 +536,7 @@ def parse_element(text: str, f: FieldSpec) -> FieldElement:
 
 
 # ---------------------------------------------------------------------------
-# FIPS 186-2 field constants (field level only; curve b coefficients are not
-# reproduced here)
-
-FIPS_PRIMES = {
-    192: 2 ** 192 - 2 ** 64 - 1,
-    224: 2 ** 224 - 2 ** 96 + 1,
-    256: 2 ** 256 - 2 ** 224 + 2 ** 192 + 2 ** 96 - 1,
-    384: 2 ** 384 - 2 ** 128 - 2 ** 96 + 2 ** 32 - 1,
-    521: 2 ** 521 - 1,
-}
+# FIPS 186-2 binary field moduli
 
 
 def _binary_modulus(degree: int, *terms: int) -> tuple[int, ...]:

@@ -7,24 +7,57 @@ forms) uses the same code path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 
-from .curve import Curve, EdwardsCurve, is_nonsingular
+from .curve import Curve, EdwardsCurve
 from .errors import DenominatorVanishes, MixedCurves, SingularCurve
 from .field import FieldElement, parse_element
 
 
-@dataclass(frozen=True)
+_setattr = object.__setattr__
+
+
 class Point:
-    curve: Curve
-    x: FieldElement | None = None
-    y: FieldElement | None = None
+    """A point of E(F_q): affine coordinates (x, y), or infinity with
+    x = y = None. Every point is checked against the curve equation when
+    it is built. Immutable."""
+
+    __slots__ = ("curve", "x", "y")
+
+    def __init__(self, curve: Curve, x: FieldElement | None = None,
+                 y: FieldElement | None = None):
+        _setattr(self, "curve", curve)
+        _setattr(self, "x", x)
+        _setattr(self, "y", y)
+        self.__post_init__()
 
     def __post_init__(self):
-        if self.x is not None:
-            assert self.curve.equation_lhs_minus_rhs(self.x, self.y).is_zero(), (
-                "point does not satisfy the curve equation"
-            )
+        if self.x is not None and not on_curve(self.curve, self.x, self.y):
+            raise ValueError("point does not satisfy the curve equation")
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Point, (self.curve, self.x, self.y)
+
+    def __eq__(self, other):
+        if other.__class__ is not Point:
+            return NotImplemented
+        return self.x == other.x and self.y == other.y and (
+            self.curve is other.curve or self.curve == other.curve)
+
+    def __hash__(self):
+        # infinity hashes without None, whose hash varies between runs
+        if self.x is None:
+            return hash((self.curve,))
+        return hash((self.curve, self.x, self.y))
+
+    def __repr__(self):
+        return f"Point(curve={self.curve!r}, x={self.x!r}, y={self.y!r})"
 
     @property
     def is_infinity(self) -> bool:
@@ -45,7 +78,16 @@ class Point:
 
 
 def on_curve(curve: Curve, x, y) -> bool:
-    return curve.equation_lhs_minus_rhs(curve.field(x), curve.field(y)).is_zero()
+    """Whether (x, y) satisfies the curve equation; over a prime field the
+    equation is evaluated in ints."""
+    f = curve.field
+    x, y = f(x), f(y)
+    a = curve.int_coefficients
+    if a is None:
+        return curve.equation_lhs_minus_rhs(x, y).is_zero()
+    a1, a2, a3, a4, a6 = a
+    x, y = x.coeffs[0], y.coeffs[0]
+    return ((y + a1 * x + a3) * y - ((x + a2) * x + a4) * x - a6) % f.p == 0
 
 
 def negate(P: Point) -> Point:
@@ -55,33 +97,55 @@ def negate(P: Point) -> Point:
     return Point(E, P.x, -P.y - E.a1 * P.x - E.a3)
 
 
+def _chord_tangent(x1, y1, x2, y2, a, red, inv):
+    """(x3, y3) = (x1, y1) + (x2, y2) for two affine points, or None when
+    the sum is infinity.
+
+    The one copy of the chord-tangent formulas. Coordinates and the
+    coefficients a = (a1, a2, a3, a4, a6) are raw field values: ints mod p
+    with red = reduction mod p and inv = modular inverse over a prime
+    field, FieldElements with red = identity otherwise. Both inputs lie on
+    the curve, so x1 == x2 means Q = -P or Q = P, and the tangent's
+    denominator 2*y1 + a1*x1 + a3 vanishes only when P = -P.
+    """
+    a1, a2, a3, a4, _ = a
+    if x1 == x2:
+        if y2 == red(-y1 - a1 * x1 - a3):
+            return None
+        num = 3 * x1 * x1 + 2 * a2 * x1 + a4 - a1 * y1
+        u = red(num * inv(red(2 * y1 + a1 * x1 + a3)))
+    else:
+        u = red((y2 - y1) * inv(red(x2 - x1)))
+    x3 = red(u * u + a1 * u - a2 - x1 - x2)
+    return x3, red(-(u + a1) * x3 - (y1 - x1 * u) - a3)
+
+
+def _identity(v):
+    return v
+
+
 def add(P: Point, Q: Point) -> Point:
-    if P.curve != Q.curve:
-        raise MixedCurves("points on different curves")
     E = P.curve
-    if not is_nonsingular(E):
+    if Q.curve is not E and Q.curve != E:
+        raise MixedCurves("points on different curves")
+    if not E.nonsingular:
         raise SingularCurve("group law requires a nonsingular curve")
     if P.is_infinity:
         return Q
     if Q.is_infinity:
         return P
-    x1, y1 = P.x, P.y
-    x2, y2 = Q.x, Q.y
-    if x1 == x2:
-        if Q == negate(P):
-            return Point.infinity(E)
-        # duplication; the tangent slope
-        den = 2 * y1 + E.a1 * x1 + E.a3
-        if den.is_zero():
-            return Point.infinity(E)  # 2-torsion
-        num = 3 * x1 * x1 + 2 * E.a2 * x1 + E.a4 - E.a1 * y1
-        u = num / den
-    else:
-        u = (y2 - y1) / (x2 - x1)
-    v = y1 - x1 * u
-    x3 = u * u + E.a1 * u - E.a2 - x1 - x2
-    y3 = -(u + E.a1) * x3 - v - E.a3
-    return Point(E, x3, y3)
+    a = E.int_coefficients
+    if a is None:
+        xy = _chord_tangent(P.x, P.y, Q.x, Q.y, E.coefficients(), _identity,
+                            FieldElement.inverse)
+        return Point(E) if xy is None else Point(E, *xy)
+    f = E.field
+    p = f.p
+    xy = _chord_tangent(P.x.coeffs[0], P.y.coeffs[0], Q.x.coeffs[0], Q.y.coeffs[0], a,
+                        p.__rmod__, lambda d: pow(d, -1, p))
+    if xy is None:
+        return Point(E)
+    return Point(E, FieldElement(f, (xy[0],)), FieldElement(f, (xy[1],)))
 
 
 def double(P: Point) -> Point:

@@ -136,6 +136,20 @@ def test_seed_reproducibility():
     assert a == b and a[0] == 0
 
 
+def test_seeded_output_repeats_across_processes():
+    # the generators come from seeded point draws that pick among square
+    # roots through set order, so that order must not vary between runs
+    argv = ("--seed", "3", "structure", "--field", "p=101", "--curve", "0,0,0,1,0")
+    outs = {run(*argv) for _ in range(3)}
+    assert len(outs) == 1 and next(iter(outs))[0] == 0
+
+
+def test_zeta_exact_functional_equation():
+    # 1601 * 1601 ** -1 is 0.9999999999999999 in floats
+    out = run_json("zeta", "--field", "p=1601", "--curve", "1,2,3,4,5")
+    assert out["L"] == [1, 2, 1601] and out["counts"][0] == 1604
+
+
 def test_exit_code_domain_error():
     rc, _, err = run("count", "--field", "p=13", "--curve", "0,0,0,0,4",
                      "--method", "closed")

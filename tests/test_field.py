@@ -21,6 +21,21 @@ from ecgroups.field import (
 SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 101]
 
 
+def test_elements_are_lazy():
+    assert next(FieldSpec(2 ** 61 - 1).elements()).lift() == 0
+
+
+def test_square_root_huge_prime_one_mod_four():
+    # Tonelli-Shanks over p = 1 mod 4 searches the canonical element order
+    # for a nonresidue
+    f = FieldSpec(2 ** 64 + 13)
+    assert f.p % 4 == 1
+    for k in (3, 2 ** 40 + 7, f.p - 5):
+        a = f(k) * f(k)
+        r, s = square_root(a)
+        assert r * r == a and s * s == a and r == -s
+
+
 def test_prime_field_basics(F13):
     assert F13.q == 13 and F13.char == 13
     a, b = F13(7), F13(9)

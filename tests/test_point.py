@@ -1,14 +1,16 @@
 """Group law, scalar multiplication, NAF and Edwards addition."""
 
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecgroups.curve import Curve, EdwardsCurve
-from ecgroups.count import brute_force_order
+from ecgroups.curve import Curve, EdwardsCurve, is_nonsingular
+from ecgroups.count import brute_force_order, random_point
 from ecgroups.errors import MixedCurves
+from ecgroups.field import FieldSpec
 from ecgroups.point import (
     Point,
     add,
@@ -115,6 +117,7 @@ def test_parse_point_roundtrip(F13, F8):
     for E in (Curve.short(F13, F13(6), F13(11)), Curve.make(F8, 1, 0, 0, 0, 1)):
         for P in all_points(E):
             assert parse_point(str(P), E) == P
+            assert pickle.loads(pickle.dumps(P)) == P
 
 
 def test_edwards_addition(F13):
@@ -142,3 +145,48 @@ def test_all_points_matches_count(F13, F8, F9):
         assert pts[0].is_infinity
         assert len(pts) == brute_force_order(E).N
         assert len(set(pts)) == len(pts)
+
+
+PRIMES = [5, 7, 11, 13, 101, 331, 1009, 1999, 10007]
+
+
+def _int_equation(E, P):
+    p = E.field.p
+    a1, a2, a3, a4, a6 = (c.lift() for c in E.coefficients())
+    x, y = P.x.lift(), P.y.lift()
+    return (y * y + a1 * x * y + a3 * y - (x ** 3 + a2 * x * x + a4 * x + a6)) % p
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(PRIMES), st.lists(st.integers(0, 10 ** 6), min_size=5, max_size=5),
+       st.integers(0, 2 ** 32))
+def test_group_law_over_random_prime_field_curves(p, coeffs, seed):
+    f = FieldSpec(p)
+    E = Curve.make(f, *coeffs)
+    if not is_nonsingular(E):
+        return
+    rng = random.Random(seed)
+    P, Q, R = (random_point(E, rng) for _ in range(3))
+    for S in (add(P, Q), add(P, P), add(add(P, Q), R)):
+        assert S.is_infinity or _int_equation(E, S) == 0
+    assert add(P, Q) == add(Q, P)
+    assert add(add(P, Q), R) == add(P, add(Q, R))
+    N = brute_force_order(E).N  # character sum, independent of the group law
+    for T in (P, Q, add(P, Q)):
+        assert scalar_mul(N, T).is_infinity
+        assert scalar_mul(N, T, "naf").is_infinity
+
+
+def test_off_curve_points_rejected(F13, F8):
+    E = Curve.short(F13, F13(6), F13(11))
+    with pytest.raises(ValueError):
+        Point.at(E, 1, 1)
+    with pytest.raises(ValueError):
+        parse_point("(1,1)", E)
+    E2 = Curve.make(F8, 1, 0, 0, 0, 1)
+    on = {(P.x, P.y) for P in all_points(E2) if not P.is_infinity}
+    x, y = next((x, y) for x in F8.elements() for y in F8.elements() if (x, y) not in on)
+    with pytest.raises(ValueError):
+        Point.at(E2, x, y)
+    with pytest.raises(ValueError):
+        parse_point(f"({x},{y})", E2)
