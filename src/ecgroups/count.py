@@ -433,7 +433,8 @@ def hasse_polynomial(p: int):
     """H_p(x) = (-1)^n sum C(n,k)^2 x^k over F_p, n = (p-1)/2."""
     from .poly import Poly
 
-    assert p % 2 == 1 and intutil.is_prime(p) and p <= 10 ** 4
+    if not (p % 2 == 1 and intutil.is_prime(p) and p <= 10 ** 4):
+        raise ValueError(f"Hasse polynomial needs an odd prime p <= 10^4, got {p}")
     n = (p - 1) // 2
     sign = (-1) ** n
     coeffs = [sign * math.comb(n, k) ** 2 for k in range(n + 1)]

@@ -235,14 +235,6 @@ class AdmissibleMap:
         b6_ = (a6 + r * a4 + r * r * a2 + r * r * r - t * a3 - t * t - r * t * a1) * iu6
         return Curve(E.field, b1, b2_, b3, b4_, b6_)
 
-    def push_point(self, x: FieldElement, y: FieldElement):
-        """Image (x', y') on the transformed curve of an affine (x, y)."""
-        iu = self.u.inverse()
-        iu2 = iu * iu
-        xp = (x - self.r) * iu2
-        yp = (y - self.s * (x - self.r) - self.t) * iu2 * iu
-        return xp, yp
-
     def compose(self, other: AdmissibleMap) -> AdmissibleMap:
         """self then other, as a single admissible map."""
         u1, r1, s1, t1 = self.u, self.r, self.s, self.t
@@ -495,34 +487,32 @@ def edwards_equivalents(ec: EdwardsCurve) -> set:
 
 
 def enumerate_short_curves(field: FieldSpec) -> dict:
-    """Census of y^2 = x^3 + ax + b up to isomorphism (the u^4/u^6 action)."""
+    """Census of y^2 = x^3 + ax + b up to isomorphism (the u^4/u^6 action).
+
+    Pairs are keyed by canonical index. In characteristic > 3 the zeros
+    of 4a^3 + 27b^2 are exactly the q pairs (-3t^2, 2t^3), t in F_q, so
+    the other q^2 - q pairs are the nonsingular curves."""
     if field.p in (2, 3):
         raise BadCharacteristic("short-form census needs characteristic > 3")
     if field.q > 2000:
         raise FieldTooLarge("census bounded at q = 2000")
-    units = [u for u in field.elements() if not u.is_zero()]
-    action = [(u ** 4, u ** 6) for u in units]
-    seen = set()
+    elts = list(field.elements())
+    index = {e.coeffs: e.canonical_index() for e in elts}
+    # u and -u act alike, so one of each pair suffices
+    action = [(u ** 4, u ** 6) for u in elts if index[u.coeffs] < index[(-u).coeffs]]
+    seen = {(index[(-3 * t * t).coeffs], index[(2 * t * t * t).coeffs]) for t in elts}
     classes = []
-    total = 0
-    for a in field.elements():
-        for b in field.elements():
-            d = -16 * (4 * a * a * a + 27 * b * b)
-            if d.is_zero():
+    for a in elts:
+        ia = index[a.coeffs]
+        for b in elts:
+            if (ia, index[b.coeffs]) in seen:
                 continue
-            total += 1
-            key = (a.canonical_index(), b.canonical_index())
-            if key in seen:
-                continue
-            orbit = {(u4 * a, u6 * b) for u4, u6 in action}
-            for oa, ob in orbit:
-                seen.add((oa.canonical_index(), ob.canonical_index()))
-            classes.append(sorted(
-                ((oa.canonical_index(), ob.canonical_index()) for oa, ob in orbit)
-            ))
+            orbit = {(index[(u4 * a).coeffs], index[(u6 * b).coeffs]) for u4, u6 in action}
+            seen |= orbit
+            classes.append(sorted(orbit))
     classes.sort()
     return {
-        "total_nonsingular": total,
+        "total_nonsingular": field.q ** 2 - field.q,
         "class_count": len(classes),
         "classes": classes,
     }

@@ -34,8 +34,8 @@ class _PsiTable:
         _require_short_odd(E)
         f = E.field
         a, b = E.a4, E.a6
-        x = Poly.x(f)
         self.F = Poly.make(f, [b, a, f(0), f(1)])  # the cubic, i.e. y^2
+        self.F2 = self.F * self.F
         one = Poly.const(f, 1)
         self.cache = {
             -1: -one,
@@ -64,11 +64,10 @@ class _PsiTable:
         m, rem = divmod(n, 2)
         if rem:
             # psi_{2m+1} = psi_{m+2} psi_m^3 - psi_{m-1} psi_{m+1}^3
-            F2 = self.F * self.F
             if m % 2 == 0:
-                out = F2 * self.g(m + 2) * self.g(m) ** 3 - self.g(m - 1) * self.g(m + 1) ** 3
+                out = self.F2 * self.g(m + 2) * self.g(m) ** 3 - self.g(m - 1) * self.g(m + 1) ** 3
             else:
-                out = self.g(m + 2) * self.g(m) ** 3 - F2 * self.g(m - 1) * self.g(m + 1) ** 3
+                out = self.g(m + 2) * self.g(m) ** 3 - self.F2 * self.g(m - 1) * self.g(m + 1) ** 3
         else:
             # psi_{2m} = psi_m (psi_{m+2} psi_{m-1}^2 - psi_{m-2} psi_{m+1}^2)/(2y):
             # the parity bookkeeping cancels to the same univariate formula
@@ -93,42 +92,37 @@ class DivisionPolynomial:
     as_univariate: Poly  # g_n(x): psi_n itself (odd n) or psi_n / y (even n)
     parity_factor: bool  # True when a factor y was divided out (even n)
     torsion_poly: Poly  # f_n: roots = x-coordinates of affine n-torsion
-    phi: Poly  # phi_n = x psi_n^2 - psi_{n+1} psi_{n-1}, univariate
+
+
+def _check_index(n: int):
+    if not -1 <= n <= _MAX_INDEX:
+        raise IndexTooLarge(f"index {n} outside [-1, {_MAX_INDEX}]")
 
 
 def division_polynomial(E: Curve, n: int) -> DivisionPolynomial:
     _require_short_odd(E)
-    if not -1 <= n <= _MAX_INDEX:
-        raise IndexTooLarge(f"index {n} outside [-1, {_MAX_INDEX}]")
+    _check_index(n)
     tab = _table(E)
     g = tab.g(n)
     even = n % 2 == 0
-    if even:
-        f_n = g * g * tab.F
-    else:
-        f_n = g
-    x = Poly.x(E.field)
-    if -1 <= n - 1 and n + 1 <= _MAX_INDEX:
-        gl, gr = tab.g(n - 1), tab.g(n + 1)
-        if even:
-            phi = x * g * g * tab.F - gl * gr
-        else:
-            phi = x * g * g - gl * gr * tab.F
-    else:
-        phi = Poly(E.field, ())
-    return DivisionPolynomial(n, g, even, f_n, phi)
+    return DivisionPolynomial(n, g, even, g * g * tab.F if even else g)
 
 
 def torsion_test(P: Point, n: int) -> bool:
-    """True iff [n]P = O, decided by the division polynomial alone."""
+    """True iff [n]P = O, decided by the division polynomial alone.
+
+    f_n(x) = g_n(x)^2 F(x) for even n and g_n(x) for odd n, so it is
+    evaluated from its factors without building f_n."""
     if P.is_infinity:
         return True
     _require_short_odd(P.curve)
-    assert n >= 1
+    if n < 1:
+        raise ValueError(f"torsion index n = {n} must be at least 1")
     if n == 1:
         return False
-    d = division_polynomial(P.curve, n)
-    return d.torsion_poly(P.x).is_zero()
+    _check_index(n)
+    tab = _table(P.curve)
+    return tab.g(n)(P.x).is_zero() or (n % 2 == 0 and tab.F(P.x).is_zero())
 
 
 def torsion_points(E: Curve, n: int) -> set[Point]:

@@ -13,96 +13,10 @@ from functools import lru_cache
 
 from . import intutil
 from .errors import DivisionByZero, MixedFields, ZeroElement
+from .poly import _pgcd, _pinvmod, _pmod, _pmul, _ppowmod, _psub
 
 # ---------------------------------------------------------------------------
-# low-level polynomial arithmetic over F_p on int tuples (low-first)
-
-
-def _ptrim(c):
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return tuple(c[:i])
-
-
-def _padd(a, b, p):
-    n = max(len(a), len(b))
-    a = tuple(a) + (0,) * (n - len(a))
-    b = tuple(b) + (0,) * (n - len(b))
-    return _ptrim([(x + y) % p for x, y in zip(a, b)])
-
-
-def _psub(a, b, p):
-    n = max(len(a), len(b))
-    a = tuple(a) + (0,) * (n - len(a))
-    b = tuple(b) + (0,) * (n - len(b))
-    return _ptrim([(x - y) % p for x, y in zip(a, b)])
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _ptrim(out)
-
-
-def _pdivmod(a, b, p):
-    """Quotient and remainder of a by b over F_p; b need not be monic."""
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    q = [0] * max(len(a) - len(b) + 1, 0)
-    inv_lead = pow(b[-1], p - 2, p)
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] * inv_lead % p
-        if c:
-            q[i] = c
-            for j, y in enumerate(b):
-                a[i + j] = (a[i + j] - c * y) % p
-    return _ptrim(q), _ptrim(a)
-
-
-def _pmod(a, b, p):
-    return _pdivmod(a, b, p)[1]
-
-
-def _pgcd(a, b, p):
-    a, b = _ptrim(a), _ptrim(b)
-    while b:
-        a, b = b, _pmod(a, b, p)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = tuple(c * inv % p for c in a)
-    return a
-
-
-def _ppowmod(base, e, mod, p):
-    result = (1,)
-    base = _pmod(base, mod, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, base, p), mod, p)
-        base = _pmod(_pmul(base, base, p), mod, p)
-        e >>= 1
-    return result
-
-
-def _pinvmod(a, mod, p):
-    """Inverse of a modulo mod over F_p by the extended Euclid algorithm."""
-    r0, r1 = _ptrim(mod), _pmod(a, mod, p)
-    s0, s1 = (), (1,)
-    while r1:
-        q, r = _pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _psub(s0, _pmul(q, s1, p), p)
-    if len(r0) != 1:
-        raise DivisionByZero("element has no inverse (zero divisor)")
-    inv_c = pow(r0[0], p - 2, p)
-    return _ptrim(tuple(c * inv_c % p for c in s0))
+# irreducibility of the modulus
 
 
 def _irreducible(modulus, p, n):
@@ -282,6 +196,8 @@ class FieldElement:
     # -- ring structure ----------------------------------------------------
 
     def _coerce(self, other) -> FieldElement:
+        # +, -, * and / skip this call for an element of the very same field
+        # object, the common case.
         if other.__class__ is FieldElement:
             if other.field is not self.field and other.field != self.field:
                 raise MixedFields("operands from different fields")
@@ -291,7 +207,10 @@ class FieldElement:
         return NotImplemented
 
     def __add__(self, other):
-        other = self._coerce(other)
+        if other.__class__ is not FieldElement or other.field is not self.field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return other
         f = self.field
         if f.n == 1:
             return FieldElement(f, ((self.coeffs[0] + other.coeffs[0]) % f.p,))
@@ -301,7 +220,10 @@ class FieldElement:
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
+        if other.__class__ is not FieldElement or other.field is not self.field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return other
         f = self.field
         if f.n == 1:
             return FieldElement(f, ((self.coeffs[0] - other.coeffs[0]) % f.p,))
@@ -309,14 +231,20 @@ class FieldElement:
         return FieldElement(f, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
 
     def __rsub__(self, other):
-        return self._coerce(other) - self
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return other
+        return other - self
 
     def __neg__(self):
         p = self.field.p
         return FieldElement(self.field, tuple((-a) % p for a in self.coeffs))
 
     def __mul__(self, other):
-        other = self._coerce(other)
+        if other.__class__ is not FieldElement or other.field is not self.field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return other
         f = self.field
         if f.n == 1:
             return FieldElement(f, (self.coeffs[0] * other.coeffs[0] % f.p,))
@@ -336,11 +264,17 @@ class FieldElement:
         return FieldElement(f, tuple(inv) + (0,) * (f.n - len(inv)))
 
     def __truediv__(self, other):
-        other = self._coerce(other)
+        if other.__class__ is not FieldElement or other.field is not self.field:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return other
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return other
+        return other * self.inverse()
 
     def __pow__(self, e: int):
         if e < 0:

@@ -106,13 +106,6 @@ def factorize(n: int) -> dict[int, int]:
     return factors
 
 
-def divisors(n: int) -> list[int]:
-    ds = [1]
-    for p, e in factorize(n).items():
-        ds = [d * p ** k for d in ds for k in range(e + 1)]
-    return sorted(ds)
-
-
 def squarefree_kernel(n: int) -> int:
     """Product of the distinct primes dividing n (1 for units)."""
     n = abs(n)

@@ -1,15 +1,113 @@
-"""Dense univariate polynomials with coefficients in a FieldSpec.
+"""Dense univariate polynomials over a FieldSpec, and the F_p kernels
+under all polynomial and extension-field arithmetic.
 
-Coefficients are stored low degree first; the zero polynomial has an
-empty coefficient tuple. Root finding is by exhaustive evaluation,
-which is the right tool at the field sizes this package targets.
+The kernels work on int tuples of residues mod p, low degree first.
+`Poly` keeps its coefficients as FieldElements, low degree first (the
+zero polynomial has an empty tuple), and does its arithmetic on one
+packed int tuple: over F_{p^n} coefficient i fills slots
+i(2n-1) ... i(2n-1)+n-1 (Kronecker substitution), so the product of two
+coefficients, of degree at most 2n-2 in the field generator, never
+spills into the next coefficient's slots. Over F_p the slots are the
+residues themselves. Root finding is by exhaustive evaluation, which is
+the right tool at the field sizes this package targets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, zip_longest
+from typing import TYPE_CHECKING
 
-from .field import FieldElement, FieldSpec
+from .errors import DivisionByZero, MixedFields
+
+if TYPE_CHECKING:  # field.py imports the kernels below
+    from .field import FieldElement, FieldSpec
+
+# ---------------------------------------------------------------------------
+# polynomial arithmetic over F_p on int tuples (low-first)
+
+def _ptrim(c):
+    i = len(c)
+    while i > 0 and c[i - 1] == 0:
+        i -= 1
+    return tuple(c[:i])
+
+
+def _padd(a, b, p):
+    return _ptrim([(x + y) % p for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _psub(a, b, p):
+    return _ptrim([(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _pmul(a, b, p):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+    return _ptrim(out)
+
+
+def _pdivmod(a, b, p):
+    """Quotient and remainder of a by b over F_p; b need not be monic."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    a = list(a)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    inv_lead = pow(b[-1], p - 2, p)
+    for i in range(len(a) - len(b), -1, -1):
+        c = a[i + len(b) - 1] * inv_lead % p
+        if c:
+            q[i] = c
+            for j, y in enumerate(b):
+                a[i + j] = (a[i + j] - c * y) % p
+    return _ptrim(q), _ptrim(a)
+
+
+def _pmod(a, b, p):
+    return _pdivmod(a, b, p)[1]
+
+
+def _pgcd(a, b, p):
+    a, b = _ptrim(a), _ptrim(b)
+    while b:
+        a, b = b, _pmod(a, b, p)
+    if a:
+        inv = pow(a[-1], p - 2, p)
+        a = tuple(c * inv % p for c in a)
+    return a
+
+
+def _ppowmod(base, e, mod, p):
+    result = (1,)
+    base = _pmod(base, mod, p)
+    while e:
+        if e & 1:
+            result = _pmod(_pmul(result, base, p), mod, p)
+        base = _pmod(_pmul(base, base, p), mod, p)
+        e >>= 1
+    return result
+
+
+def _pinvmod(a, mod, p):
+    """Inverse of a modulo mod over F_p by the extended Euclid algorithm."""
+    r0, r1 = _ptrim(mod), _pmod(a, mod, p)
+    s0, s1 = (), (1,)
+    while r1:
+        q, r = _pdivmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _psub(s0, _pmul(q, s1, p), p)
+    if len(r0) != 1:
+        raise DivisionByZero("element has no inverse (zero divisor)")
+    inv_c = pow(r0[0], p - 2, p)
+    return _ptrim(tuple(c * inv_c % p for c in s0))
+
+
+# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -23,10 +121,6 @@ class Poly:
         while elts and elts[-1].is_zero():
             elts.pop()
         return Poly(field, tuple(elts))
-
-    @staticmethod
-    def x(field: FieldSpec) -> Poly:
-        return Poly.make(field, [0, 1])
 
     @staticmethod
     def const(field: FieldSpec, c) -> Poly:
@@ -45,73 +139,48 @@ class Poly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
+    # -- arithmetic on the packed F_p tuple ----------------------------------
+
+    def _packed(self, other: Poly):
+        """Both operands as packed int tuples over F_p, and p."""
+        f = self.field
+        if other.field is not f and other.field != f:
+            raise MixedFields("polynomials over different fields")
+        pad = (0,) * (f.n - 1)
+        return (tuple(chain.from_iterable(c.coeffs + pad for c in self.coeffs)),
+                tuple(chain.from_iterable(c.coeffs + pad for c in other.coeffs)),
+                f.p)
+
+    def _unpacked(self, packed) -> Poly:
+        from .field import FieldElement
+
+        f = self.field
+        n, w = f.n, 2 * f.n - 1
+        out = []
+        for i in range(0, len(packed), w):
+            c = packed[i:i + w]
+            if len(c) > n:
+                c = _pmod(c, f.modulus, f.p)
+            out.append(FieldElement(f, c + (0,) * (n - len(c))))
+        while out and not any(out[-1].coeffs):
+            out.pop()
+        return Poly(f, tuple(out))
+
     def __add__(self, other: Poly) -> Poly:
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = self.field.zero()
-        a = self.coeffs + (z,) * (n - len(self.coeffs))
-        b = other.coeffs + (z,) * (n - len(other.coeffs))
-        return Poly.make(self.field, [x + y for x, y in zip(a, b)])
+        return self._unpacked(_padd(*self._packed(other)))
 
     def __sub__(self, other: Poly) -> Poly:
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = self.field.zero()
-        a = self.coeffs + (z,) * (n - len(self.coeffs))
-        b = other.coeffs + (z,) * (n - len(other.coeffs))
-        return Poly.make(self.field, [x - y for x, y in zip(a, b)])
+        return self._unpacked(_psub(*self._packed(other)))
 
     def __neg__(self) -> Poly:
         return Poly(self.field, tuple(-c for c in self.coeffs))
 
     def __mul__(self, other) -> Poly:
-        if isinstance(other, FieldElement) or isinstance(other, int):
-            c = self.field(other)
-            return Poly.make(self.field, [a * c for a in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return Poly(self.field, ())
-        z = self.field.zero()
-        out = [z] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a.is_zero():
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-        return Poly.make(self.field, out)
+        if not isinstance(other, Poly):
+            other = Poly.const(self.field, other)
+        return self._unpacked(_pmul(*self._packed(other)))
 
     __rmul__ = __mul__
-
-    def divmod(self, other: Poly):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        z = self.field.zero()
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Poly(self.field, ()), self
-        quo = [z] * (dq + 1)
-        inv = other.leading().inverse()
-        for i in range(dq, -1, -1):
-            c = rem[i + other.degree] * inv
-            if not c.is_zero():
-                quo[i] = c
-                for j, b in enumerate(other.coeffs):
-                    rem[i + j] = rem[i + j] - c * b
-        return Poly.make(self.field, quo), Poly.make(self.field, rem)
-
-    def __floordiv__(self, other: Poly) -> Poly:
-        return self.divmod(other)[0]
-
-    def __mod__(self, other: Poly) -> Poly:
-        return self.divmod(other)[1]
-
-    def monic(self) -> Poly:
-        if self.is_zero():
-            return self
-        return self * self.leading().inverse()
-
-    def gcd(self, other: Poly) -> Poly:
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
 
     def __pow__(self, e: int) -> Poly:
         result = Poly.const(self.field, 1)
@@ -122,21 +191,6 @@ class Poly:
             base = base * base
             e >>= 1
         return result
-
-    def powmod(self, e: int, mod: Poly) -> Poly:
-        result = Poly.const(self.field, 1)
-        base = self % mod
-        while e:
-            if e & 1:
-                result = (result * base) % mod
-            base = (base * base) % mod
-            e >>= 1
-        return result
-
-    def derivative(self) -> Poly:
-        return Poly.make(
-            self.field, [i * c for i, c in enumerate(self.coeffs)][1:]
-        )
 
     def __call__(self, x) -> FieldElement:
         x = self.field(x)

@@ -324,7 +324,10 @@ def encode_message(E: Curve, m: int, K: int) -> Point:
     """Embed the integer m as a point with x in [mK, mK + K): the first
     candidate x whose cubic value is a square wins."""
     f = E.field
-    assert f.n == 1 and f.p != 2 and m >= 0 and K >= 1
+    if f.n != 1 or f.p == 2:
+        raise ValueError("message encoding needs an odd prime field")
+    if m < 0 or K < 1:
+        raise ValueError(f"need m >= 0 and K >= 1, got m = {m}, K = {K}")
     if f.q <= (m + 1) * K:
         raise EncodingFailed("field too small for this message/redundancy pair")
     for i in range(K):
@@ -344,7 +347,10 @@ def encode_message(E: Curve, m: int, K: int) -> Point:
 
 
 def decode_message(P: Point, K: int) -> int:
-    assert not P.is_infinity
+    if P.is_infinity:
+        raise ValueError("the point at infinity encodes no message")
+    if K < 1:
+        raise ValueError(f"need K >= 1, got K = {K}")
     return P.x.lift() // K
 
 

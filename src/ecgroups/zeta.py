@@ -341,7 +341,8 @@ def hyperelliptic_count(field: FieldSpec, coeffs) -> int:
     from .poly import Poly
 
     f = Poly.make(field, coeffs)
-    assert f.degree in (5, 6)
+    if f.degree not in (5, 6):
+        raise ValueError(f"y^2 = f(x) needs deg f in {{5, 6}}, got {f.degree}")
     n = sum(1 + quadratic_character(f(x)) for x in field.elements())
     if f.degree == 5:
         return n + 1

@@ -80,6 +80,17 @@ def test_twist_encode_decode():
     assert dec == {"m": 0}
 
 
+def test_bad_message_input_is_usage_error_under_optimize():
+    # input checks are not asserts, so python -O keeps them
+    curve = ("--field", "p=13", "--curve", "0,0,0,6,11")
+    for argv in (("encode", *curve, "--m", "-1", "--K", "2"),
+                 ("decode", *curve, "--point", "inf", "--K", "1")):
+        proc = subprocess.run([sys.executable, "-O", "-m", "ecgroups.cli", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("usage error: ") and len(proc.stderr.strip()) > 13
+
+
 def test_classes_and_census():
     out = run_json("classes", "--q", "5")
     assert out["total_nonsingular"] == 20 and out["class_count"] == 12

@@ -202,6 +202,21 @@ def test_enumerate_short_curves_f5(F5):
     assert sum(len(c) for c in out["classes"]) == 20
 
 
+@pytest.mark.parametrize("f", [FieldSpec(5, 2, (2, 0, 1)), FieldSpec(7, 2, (1, 0, 1))],
+                         ids=["F25", "F49"])
+def test_enumerate_short_curves_extension(f):
+    q = f.q
+    out = enumerate_short_curves(f)
+    assert out["class_count"] == 2 * q + {1: 6, 5: 2, 7: 4, 11: 0}[q % 12]
+    # the census takes the singular pairs in closed form; find them here
+    # from the discriminant, and require the classes to partition the rest
+    nonsingular = sorted((a.canonical_index(), b.canonical_index())
+                         for a in f.elements() for b in f.elements()
+                         if not (4 * a * a * a + 27 * b * b).is_zero())
+    assert out["total_nonsingular"] == len(nonsingular)
+    assert sorted(pair for c in out["classes"] for pair in c) == nonsingular
+
+
 @pytest.mark.parametrize("q", [7, 13, 8, 9])
 def test_standard_curve_for_j_roundtrip(q, F8, F9):
     f = {8: F8, 9: F9}.get(q) or FieldSpec(q)

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecgroups.curve import Curve, is_nonsingular
 from ecgroups.count import brute_force_order
@@ -13,23 +15,29 @@ from ecgroups.point import Point, all_points, scalar_mul
 from ecgroups.poly import Poly
 
 
-def _short_curves(q, limit=None):
-    f = FieldSpec(q)
+F25 = FieldSpec(5, 2, (2, 0, 1))
+
+
+def _field(q):
+    return F25 if q == 25 else FieldSpec(q)
+
+
+def _short_curves(f, limit=None):
     out = []
-    for a in range(q):
-        for b in range(q):
-            E = Curve.short(f, f(a), f(b))
+    for a in f.elements():
+        for b in f.elements():
+            E = Curve.short(f, a, b)
             if is_nonsingular(E):
                 out.append(E)
-    rng = random.Random(q)
+    rng = random.Random(f.q)
     rng.shuffle(out)
     return out[:limit] if limit else out
 
 
-@pytest.mark.parametrize("q", [5, 7, 13])
+@pytest.mark.parametrize("q", [5, 7, 13, 25])
 def test_low_psi_closed_forms(q):
-    f = FieldSpec(q)
-    for E in _short_curves(q, limit=12):
+    f = _field(q)
+    for E in _short_curves(f, limit=12):
         a, b = E.a4, E.a6
         g2 = division_polynomial(E, 2).as_univariate
         g3 = division_polynomial(E, 3).as_univariate
@@ -62,13 +70,34 @@ def test_torsion_poly_degrees(F13):
             assert d.torsion_poly.degree == n * n - 1
 
 
-@pytest.mark.parametrize("q", [5, 11])
+@pytest.mark.parametrize("q", [5, 11, 25])
 def test_torsion_test_matches_scalar_mul(q):
-    for E in _short_curves(q, limit=8):
+    for E in _short_curves(_field(q), limit=8):
         for n in range(2, 9):
             for P in all_points(E):
                 want = scalar_mul(n, P).is_infinity
                 assert torsion_test(P, n) == want, (str(E), n, str(P))
+
+
+def _poly(f, coeffs):
+    return Poly.make(f, [f(tuple(c)) for c in coeffs])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([13, 25]), st.data())
+def test_packed_arithmetic_matches_evaluation(q, data):
+    # Poly works on Kronecker-packed F_p tuples; evaluating at every field
+    # element with FieldElement arithmetic checks it independently
+    f = _field(q)
+    coeff = st.lists(st.integers(0, f.p - 1), min_size=f.n, max_size=f.n)
+    A, B = (_poly(f, data.draw(st.lists(coeff, min_size=k, max_size=k)))
+            for k in data.draw(st.tuples(st.integers(0, 61), st.integers(0, 61))))
+    S, D, M = A + B, A - B, A * B
+    if not (A.is_zero() or B.is_zero()):
+        assert M.degree == A.degree + B.degree
+    for x in f.elements():
+        a, b = A(x), B(x)
+        assert (S(x), D(x), M(x)) == (a + b, a - b, a * b)
 
 
 def test_three_torsion_points_golden(F13):

@@ -167,6 +167,16 @@ def test_fips_binary_fields_smoke():
     assert set(FIPS_BINARY_MODULI) == {163, 233, 283, 409, 571}
 
 
+def test_foreign_operand_is_type_error(F13):
+    x = F13(1)
+    with pytest.raises(TypeError):
+        x + 1.5
+    with pytest.raises(TypeError):
+        1.5 * x
+    with pytest.raises(TypeError):
+        1.5 - x
+
+
 @given(st.integers(0, 12), st.integers(0, 12), st.integers(0, 12))
 def test_ring_axioms_f13(a, b, c):
     f = FieldSpec(13)
