@@ -15,7 +15,7 @@ import sys
 from . import count, curve, divpoly, structure, zeta
 from .curve import parse_curve
 from .errors import EcgroupsError
-from .field import FieldSpec, parse_field, quadratic_character, absolute_trace
+from .field import FieldSpec, parse_field, twist_witness
 from .point import parse_point
 
 
@@ -85,11 +85,7 @@ def cmd_torsion(args):
 
 def cmd_twist(args):
     E = _curve_arg(args)
-    f = E.field
-    if f.p == 2:
-        witness = next(g for g in f.elements() if absolute_trace(g) == f.one())
-    else:
-        witness = next(g for g in f.elements() if quadratic_character(g) == -1)
+    witness = twist_witness(E.field)
     Et = curve.quadratic_twist(E, witness)
     _emit(args, {"curve": str(Et), "witness": str(witness)})
 

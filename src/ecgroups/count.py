@@ -30,7 +30,7 @@ from .errors import (
     SingularCurve,
 )
 from .field import FieldElement, FieldSpec, absolute_trace, quadratic_character, square_root
-from .point import Point, add, negate, scalar_mul
+from .point import Point, add, ladder_adds, negate, scalar_mul
 
 
 @dataclass(frozen=True)
@@ -114,28 +114,11 @@ def _brute_char2(E: Curve) -> int:
 
 
 def random_point(E: Curve, rng: random.Random) -> Point:
-    f = E.field
-    if f.p == 2:
-        if f.q > 2 ** 16:
-            raise FieldTooLarge("char-2 point sampling bounded at 2^16")
-        while True:
-            x = f.random_element(rng)
-            ys = [y for y in f.elements()
-                  if E.equation_lhs_minus_rhs(x, y).is_zero()]
-            if ys:
-                return Point(E, x, rng.choice(ys))
     while True:
-        x = f.random_element(rng)
-        # y^2 + L y = c  with  L = a1 x + a3
-        L = E.a1 * x + E.a3
-        c = x * x * x + E.a2 * x * x + E.a4 * x + E.a6
-        disc = L * L + 4 * c
-        roots = square_root(disc)
-        if roots is None:
-            continue
-        r = rng.choice(list(set(roots)))
-        y = (-L + r) / f(2)
-        return Point(E, x, y)
+        x = E.field.random_element(rng)
+        ys = E.solve_y(x)
+        if ys:
+            return Point(E, x, rng.choice(ys))
 
 
 def point_order(P: Point, multiple: int) -> int:
@@ -186,30 +169,11 @@ def order_via_random_point(E: Curve, seed: int) -> OrderResult:
 # baby-step giant-step
 
 
-class _OpCounter:
-    def __init__(self):
-        self.count = 0
-
-    def add(self, P: Point, Q: Point) -> Point:
-        self.count += 1
-        return add(P, Q)
-
-    def mul(self, n: int, P: Point) -> Point:
-        if n < 0:
-            n, P = -n, negate(P)
-        acc = Point.infinity(P.curve)
-        base = P
-        while n:
-            if n & 1:
-                acc = self.add(acc, base)
-            base = self.add(base, base)
-            n >>= 1
-        return acc
-
-
 def bsgs_order(E: Curve, seed: int) -> OrderResult:
     """Shanks' method on a random point, with an lcm-of-orders fallback
-    when no sampled point's order pins a unique window multiple."""
+    when no sampled point's order pins a unique window multiple. `ops`
+    counts the group additions of the baby steps, the giant steps and the
+    ladders [n]P."""
     if not is_nonsingular(E):
         raise SingularCurve("order of a singular curve")
     f = E.field
@@ -217,7 +181,7 @@ def bsgs_order(E: Curve, seed: int) -> OrderResult:
     if q > 2 ** 48:
         raise FieldTooLarge("BSGS bounded at q = 2^48")
     rng = random.Random(seed)
-    ops = _OpCounter()
+    ops = 0
     lo, hi = hasse_window(q)
     m = math.isqrt(math.isqrt(q)) * 2 + 1  # ~ 2 q^{1/4}
     known_lcm = 1
@@ -230,10 +194,11 @@ def bsgs_order(E: Curve, seed: int) -> OrderResult:
         acc = Point.infinity(E)
         for b in range(m):
             table.setdefault((acc.x, acc.y), b)
-            acc = ops.add(acc, P)
+            acc = add(acc, P)
         step = acc  # m*P
         # giant steps: (lo + a*m)*P should equal -(b*P)
-        G = ops.mul(lo, P)
+        G = scalar_mul(lo, P)
+        ops += m + ladder_adds(lo)
         hits = []
         a = 0
         while lo + a * m <= hi + m:
@@ -241,20 +206,23 @@ def bsgs_order(E: Curve, seed: int) -> OrderResult:
             b = table.get((neg.x, neg.y))
             if b is not None:
                 n = lo + a * m + b
-                if lo <= n <= hi and ops.mul(n, P).is_infinity:
-                    hits.append(n)
-            G = ops.add(G, step)
+                if lo <= n <= hi:
+                    ops += ladder_adds(n)
+                    if scalar_mul(n, P).is_infinity:
+                        hits.append(n)
+            G = add(G, step)
+            ops += 1
             a += 1
         hits = sorted(set(hits))
         if len(hits) == 1:
-            return _result(E, hits[0], "bsgs", ops.count)
+            return _result(E, hits[0], "bsgs", ops)
         if not hits:
             continue
         # ambiguous: the point order is small; combine orders via lcm
         known_lcm = math.lcm(known_lcm, point_order(P, hits[0]))
         first = (lo + known_lcm - 1) // known_lcm * known_lcm
         if first + known_lcm > hi:
-            return _result(E, first, "bsgs", ops.count)
+            return _result(E, first, "bsgs", ops)
     # The lcm of sampled orders is (almost surely) the group exponent e.
     # The group is Z_d x Z_e with d | e and d | q - 1, so only window
     # multiples n = d * e meeting both divisibility constraints can be N.
@@ -262,9 +230,9 @@ def bsgs_order(E: Curve, seed: int) -> OrderResult:
     cands = [n for n in range(lo, hi + 1)
              if n % e == 0 and e % (n // e) == 0 and (q - 1) % (n // e) == 0]
     if len(cands) == 1:
-        return _result(E, cands[0], "bsgs", ops.count)
+        return _result(E, cands[0], "bsgs", ops)
     if q <= 2 ** 20:
-        return _result(E, brute_force_order(E).N, "bsgs", ops.count)
+        return _result(E, brute_force_order(E).N, "bsgs", ops)
     raise NoLargeOrderPoint("no point pinned a unique Hasse-window multiple")
 
 

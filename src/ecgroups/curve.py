@@ -32,6 +32,7 @@ from .field import (
     quadratic_character,
     quadratic_extension,
     square_root,
+    twist_witness,
 )
 from .poly import Poly
 
@@ -76,6 +77,13 @@ class Curve:
             - (x * x * x + self.a2 * x * x + self.a4 * x + self.a6)
         )
 
+    def solve_y(self, x: FieldElement) -> list[FieldElement]:
+        """Every y with (x, y) on the curve: the roots of y^2 + L*y = c with
+        L = a1*x + a3 and c = x^3 + a2*x^2 + a4*x + a6, in the order of
+        _quadratic_roots."""
+        return _quadratic_roots(self.a1 * x + self.a3,
+                                ((x + self.a2) * x + self.a4) * x + self.a6)
+
     def rhs_cubic(self) -> Poly:
         """x^3 + a2*x^2 + a4*x + a6 as a polynomial."""
         return Poly.make(self.field, [self.a6, self.a4, self.a2, self.field(1)])
@@ -83,6 +91,49 @@ class Curve:
     def __str__(self):
         coeffs = ",".join(str(c) for c in self.coefficients())
         return f"{self.field}|{coeffs}"
+
+
+def _quadratic_roots(L: FieldElement, c: FieldElement) -> list[FieldElement]:
+    """The roots of z^2 + L*z = c, each once.
+
+    Odd q completes the square; the roots come in the iteration order of
+    the set of square roots, which seeded sampling depends on. For q = 2^n,
+    L = 0 leaves the one square root of c; otherwise z = L*u with
+    u^2 + u = c/L^2, solvable iff c/L^2 has absolute trace 0, and the two
+    roots come in elements() order."""
+    f = L.field
+    if f.p != 2:
+        roots = square_root(L * L + 4 * c)
+        if roots is None:
+            return []
+        half = f((f.p + 1) // 2)
+        return [(r - L) * half for r in set(roots)]
+    if L.is_zero():
+        return [square_root(c)[0]]
+    u = _artin_schreier_root(c / (L * L))
+    if u is None:
+        return []
+    return sorted((L * u, L * u + L), key=lambda z: z.coeffs)
+
+
+def _artin_schreier_root(w: FieldElement) -> FieldElement | None:
+    """A root z of z^2 + z = w in F_{2^n}, or None when Tr(w) = 1.
+
+    z = sum_{i=1}^{n-1} (sum_{j<i} delta^(2^j)) w^(2^i) for any delta of
+    absolute trace one satisfies z^2 + z = w + delta*Tr(w) (Lidl and
+    Niederreiter, Finite Fields, Thm 2.25), so checking z is the trace test.
+    Tr(1) = n mod 2, so delta = 1 serves for odd n."""
+    f = w.field
+    delta = f.one() if f.n % 2 else twist_witness(f)
+    z = f.zero()
+    s = d = delta  # s = sum_{j<i} delta^(2^j), d = delta^(2^(i-1))
+    wi = w
+    for _ in range(1, f.n):
+        wi = wi * wi
+        z = z + s * wi
+        d = d * d
+        s = s + d
+    return z if z * z + z == w else None
 
 
 @dataclass(frozen=True)
@@ -136,9 +187,7 @@ def discriminant(E: Curve) -> FieldElement:
 def _singular_point(E: Curve):
     """The unique singular affine point of a degenerate Weierstrass cubic."""
     for x in E.field.elements():
-        for y in E.field.elements():
-            if not E.equation_lhs_minus_rhs(x, y).is_zero():
-                continue
+        for y in E.solve_y(x):
             fx = E.a1 * y - 3 * x * x - 2 * E.a2 * x - E.a4
             fy = 2 * y + E.a1 * x + E.a3
             if fx.is_zero() and fy.is_zero():
@@ -159,22 +208,10 @@ def _classify_singularity(E: Curve) -> str:
         # singular point only over an extension; slopes certainly irrational
         return "node_irrational_slope"
     x0, _ = sing
-    f = E.field
-    c = 3 * x0 + E.a2
-    # slope equation: s^2 + a1*s - c = 0
-    if f.p == 2:
-        if E.a1.is_zero():
-            return "cusp"
-        # distinct roots; rational iff Tr(c / a1^2) = 0
-        w = c / (E.a1 * E.a1)
-        if absolute_trace(w).is_zero():
-            return "node_rational_slope"
-        return "node_irrational_slope"
-    disc = E.a1 * E.a1 + 4 * c
-    chi = quadratic_character(disc)
-    if chi == 0:
+    slopes = _quadratic_roots(E.a1, 3 * x0 + E.a2)  # s^2 + a1*s = 3x0 + a2
+    if len(slopes) == 1:
         return "cusp"
-    return "node_rational_slope" if chi == 1 else "node_irrational_slope"
+    return "node_rational_slope" if slopes else "node_irrational_slope"
 
 
 def curve_invariants(E: Curve) -> CurveInvariants:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .curve import Curve
 from .errors import BadForm, IndexTooLarge
-from .field import square_root
 from .point import Point, scalar_mul
 from .poly import Poly
 
@@ -133,13 +132,9 @@ def torsion_points(E: Curve, n: int) -> set[Point]:
     if n == 1:
         return set()
     d = division_polynomial(E, n)
-    F = _table(E).F
     out = set()
     for x in d.torsion_poly.roots():
-        roots = square_root(F(x))
-        if roots is None:
-            continue
-        for y in set(roots):
+        for y in E.solve_y(x):
             P = Point(E, x, y)
             if scalar_mul(n, P).is_infinity:
                 out.add(P)

@@ -334,11 +334,17 @@ def quadratic_character(a: FieldElement) -> int:
     return 1 if r == f.one() else -1
 
 
-def _canonical_nonresidue(f: FieldSpec) -> FieldElement:
-    for elt in f.elements():
-        if quadratic_character(elt) == -1:
-            return elt
-    raise ValueError("no quadratic nonresidue (is q even?)")
+def twist_witness(f: FieldSpec) -> FieldElement:
+    """The first element, in elements() order, that a quadratic twist
+    takes: a quadratic nonresidue for odd q, an element of absolute
+    trace one for q = 2^n."""
+    one = f.one()
+    for g in f.elements():
+        if f.p == 2:
+            if absolute_trace(g) == one:
+                return g
+        elif quadratic_character(g) == -1:
+            return g
 
 
 def square_root(a: FieldElement):
@@ -375,7 +381,7 @@ def _tonelli_shanks(a: FieldElement) -> FieldElement:
     while s % 2 == 0:
         s //= 2
         e += 1
-    z = _canonical_nonresidue(f)
+    z = twist_witness(f)
     c = z ** s
     r = a ** ((s + 1) // 2)
     t = a ** s

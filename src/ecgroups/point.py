@@ -180,6 +180,12 @@ def scalar_mul(n: int, P: Point, strategy: str = "binary") -> Point:
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
+def ladder_adds(n: int) -> int:
+    """The `add` calls binary scalar_mul makes for [n]P, n >= 0, P finite:
+    one doubling per bit and one addition per set bit."""
+    return n.bit_length() + bin(n).count("1")
+
+
 @dataclass(frozen=True)
 class NafDigits:
     digits: tuple[int, ...]  # most significant first
@@ -246,29 +252,8 @@ def parse_point(text: str, curve: Curve) -> Point:
 
 
 def all_points(E: Curve) -> list[Point]:
-    """Every rational point, infinity first.
-
-    Odd characteristic solves the y-quadratic per x-line (completing the
-    square); characteristic 2 falls back to scanning y.
-    """
-    from .field import square_root
-
-    f = E.field
-    pts = [Point.infinity(E)]
-    if f.char == 2:
-        for x in f.elements():
-            for y in f.elements():
-                if E.equation_lhs_minus_rhs(x, y).is_zero():
-                    pts.append(Point(E, x, y))
-        return pts
-    half = f(2).inverse()
-    for x in f.elements():
-        L = E.a1 * x + E.a3
-        c = ((x + E.a2) * x + E.a4) * x + E.a6
-        disc = L * L + f(4) * c
-        roots = square_root(disc)
-        if roots is None:
-            continue
-        for r in set(roots):
-            pts.append(Point(E, x, (r - L) * half))
-    return pts
+    """Every rational point, infinity first, then x in elements() order
+    with the y of each x in Curve.solve_y order."""
+    return [Point.infinity(E)] + [
+        Point(E, x, y) for x in E.field.elements() for y in E.solve_y(x)
+    ]

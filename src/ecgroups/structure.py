@@ -43,9 +43,9 @@ from .field import (
     FieldElement,
     FieldSpec,
     embed,
-    quadratic_character,
     quadratic_extension,
     square_root,
+    twist_witness,
 )
 from .point import Point, add, all_points, scalar_mul
 
@@ -141,20 +141,25 @@ def group_structure(E: Curve, seed: int = 0) -> GroupStructure:
     G, _ = _point_of_order(E, exponent, N, rng)
     if d == 1:
         return GroupStructure(N, 1, N, ((G, N),))
-    # second, independent witness of order d
-    subgroup = set()
-    step = scalar_mul(exponent // d, G)
-    acc = Point.infinity(E)
-    for _ in range(d):
-        subgroup.add((acc.x, acc.y))
-        acc = add(acc, step)
+    # A second witness Qd of order d is independent, <G> and <Qd> meeting
+    # only in O, iff for each prime l | d the point [d/l]Qd of order l lies
+    # outside the order-l subgroup of <G>.
+    subgroups = []
+    for l in intutil.factorize(d):
+        step = scalar_mul(exponent // l, G)
+        sub = set()
+        acc = Point.infinity(E)
+        for _ in range(l):
+            sub.add(acc)
+            acc = add(acc, step)
+        subgroups.append((l, sub))
     while True:
         Q = random_point(E, rng)
         o = point_order(Q, N)
         if o % d != 0:
             continue
         Qd = scalar_mul(o // d, Q)
-        if (Qd.x, Qd.y) not in subgroup:
+        if all(scalar_mul(d // l, Qd) not in sub for l, sub in subgroups):
             return GroupStructure(N, d, e, ((G, exponent), (Qd, d)))
 
 
@@ -332,17 +337,9 @@ def encode_message(E: Curve, m: int, K: int) -> Point:
         raise EncodingFailed("field too small for this message/redundancy pair")
     for i in range(K):
         x = f(m * K + i)
-        L = E.a1 * x + E.a3
-        c = x * x * x + E.a2 * x * x + E.a4 * x + E.a6
-        disc = L * L + 4 * c
-        roots = square_root(disc)
-        if roots is None:
-            continue
-        ys = sorted(
-            ((-L + r) / f(2) for r in set(roots)),
-            key=lambda y: y.canonical_index(),
-        )
-        return Point(E, x, ys[0])
+        ys = E.solve_y(x)
+        if ys:
+            return Point(E, x, min(ys, key=FieldElement.canonical_index))
     raise EncodingFailed(f"no candidate x in [{m*K}, {m*K+K}) lands on the curve")
 
 
@@ -361,13 +358,14 @@ def decode_message(P: Point, K: int) -> int:
 def construct_curve_with_order(q: int, N: int, seed: int = 0) -> Curve:
     """Trial curves y^2 = x^3 + ax - a through P = (1, 1), twisted when the
     complementary order shows up first."""
-    assert intutil.is_prime(q) and q > 3 and q <= 2 ** 34
+    if not (intutil.is_prime(q) and 3 < q <= 2 ** 34):
+        raise ValueError(f"construction needs a prime field with 3 < q <= 2^34, got q = {q}")
     lo, hi = hasse_window(q)
     if not lo <= N <= hi:
         raise HasseViolation(f"N={N} outside the Hasse window [{lo}, {hi}]")
     f = FieldSpec(q)
     rng = random.Random(seed)
-    nonresidue = next(u for u in f.elements() if quadratic_character(u) == -1)
+    nonresidue = twist_witness(f)
     budget = 64 * math.isqrt(q) + 256
     for _ in range(budget):
         a = f(rng.randrange(1, q))
@@ -449,8 +447,7 @@ def _twist_family(E: Curve):
     quartic twist families which carry the remaining traces."""
     f = E.field
     yield E
-    nonresidue = next(u for u in f.elements() if quadratic_character(u) == -1)
-    yield quadratic_twist(E, nonresidue)
+    yield quadratic_twist(E, twist_witness(f))
     j = j_invariant(E)
     if j.is_zero():
         for b in f.elements():

@@ -84,7 +84,9 @@ def test_bad_message_input_is_usage_error_under_optimize():
     # input checks are not asserts, so python -O keeps them
     curve = ("--field", "p=13", "--curve", "0,0,0,6,11")
     for argv in (("encode", *curve, "--m", "-1", "--K", "2"),
-                 ("decode", *curve, "--point", "inf", "--K", "1")):
+                 ("decode", *curve, "--point", "inf", "--K", "1"),
+                 ("construct", "--field", "p=3", "--N", "4"),
+                 ("zeta", *curve, "--nmax", "100")):
         proc = subprocess.run([sys.executable, "-O", "-m", "ecgroups.cli", *argv],
                               capture_output=True, text=True)
         assert proc.returncode == 2 and proc.stdout == ""

@@ -80,6 +80,54 @@ def test_bsgs_reports_ops(F13):
     assert r.method == "bsgs" and r.ops is not None and r.ops > 0
 
 
+def test_bsgs_ops_counts_adds(monkeypatch):
+    """OrderResult.ops equals the group additions bsgs_order makes, counted
+    by wrapping add where count and scalar_mul look it up. point_order's
+    ladders in the lcm fallback are not BSGS steps and stay uncounted."""
+    from ecgroups import count, point
+
+    calls = {"n": 0, "on": True}
+
+    def counted(fn):
+        def wrapper(P, Q):
+            calls["n"] += calls["on"]
+            return fn(P, Q)
+        return wrapper
+
+    def uncounted(fn):
+        def wrapper(*args):
+            calls["on"] = False
+            try:
+                return fn(*args)
+            finally:
+                calls["on"] = True
+        return wrapper
+
+    monkeypatch.setattr(point, "add", counted(point.add))
+    monkeypatch.setattr(count, "add", counted(count.add))
+    monkeypatch.setattr(count, "point_order", uncounted(count.point_order))
+    rng = random.Random(4)
+    for p in (13, 101, 1009):
+        f = FieldSpec(p)
+        for seed in range(10):
+            E = Curve.short(f, f(rng.randrange(p)), f(rng.randrange(p)))
+            if not is_nonsingular(E):
+                continue
+            calls["n"] = 0
+            assert bsgs_order(E, seed).ops == calls["n"]
+
+
+F2_17 = FieldSpec(2, 17, (1, 0, 0, 1) + (0,) * 13 + (1,))  # x^17 + x^3 + 1
+
+
+@pytest.mark.parametrize("coeffs", [(1, 0, 0, 0, 1), (1, 1, 0, 0, 1), (0, 0, 1, 0, 0)])
+def test_bsgs_over_f2_17_matches_lucas(coeffs):
+    """Sampling solves for y by the trace, so BSGS reaches F_{2^17}; the
+    Lucas lift of the F_2 count is the independent check."""
+    want = extension_orders(Curve.make(FieldSpec(2), *coeffs), 17)[-1][2]
+    assert bsgs_order(Curve.make(F2_17, *coeffs), 0).N == want
+
+
 def test_lucas_replication_and_tower_char2():
     f2 = FieldSpec(2)
     E = Curve.make(f2, 0, 0, 1, 0, 0)  # y^2 + y = x^3

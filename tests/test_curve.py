@@ -80,6 +80,47 @@ def test_singular_classification_char2(F8):
     assert curve_invariants(cusp).singular_kind == "cusp"
 
 
+BINARY_FIELDS = [FieldSpec(2, n, mod) for n, mod in (
+    (2, (1, 1, 1)), (3, (1, 1, 0, 1)), (4, (1, 1, 0, 0, 1)),
+    (5, (1, 0, 1, 0, 0, 1)), (6, (1, 1, 0, 0, 0, 0, 1)))]
+
+
+@pytest.mark.parametrize("f", [FieldSpec(13), FieldSpec(3, 2, (1, 0, 1))] + BINARY_FIELDS,
+                         ids=str)
+def test_solve_y_matches_scan(f):
+    """solve_y against the exhaustive y-scan, for every x. Over F_{2^n}
+    both parities of n occur (even n takes a trace-one delta != 1) and the
+    roots come in elements() order; over odd q they come in the set order
+    of the square roots, so they are compared sorted. One singular curve
+    per characteristic rides along."""
+    rng = random.Random(f.q)
+    curves = [Curve(f, *(f.random_element(rng) for _ in range(5)))
+              for _ in range(2 if f.q < 64 else 1)]
+    if f.q in (13, 9, 16):
+        # y^2 + xy = x^3 in characteristic 2, y^2 = x^3 + x^2 otherwise
+        curves.append(Curve.make(f, *((1, 0) if f.p == 2 else (0, 1)), 0, 0, 0))
+        assert not is_nonsingular(curves[-1])
+    for E in curves:
+        for x in f.elements():
+            scan = [y for y in f.elements() if E.equation_lhs_minus_rhs(x, y).is_zero()]
+            ys = E.solve_y(x)
+            if f.p != 2:
+                ys = sorted(ys, key=lambda y: y.coeffs)
+            assert ys == scan
+
+
+@pytest.mark.parametrize("a", [0, 1, 11])
+def test_singular_classification_f1009(a):
+    """y^2 = (x - x0)^2 (x - x0 + a) with x0 = 1004: the tangent cone at
+    (x0, 0) is y^2 = a (x - x0)^2, a cusp for a = 0 and a node whose slopes
+    are rational iff a is a square."""
+    f = FieldSpec(1009)
+    x0, A = f(1004), f(a)
+    E = Curve(f, f(0), A - 3 * x0, f(0), 3 * x0 * x0 - 2 * A * x0, A * x0 * x0 - x0 ** 3)
+    want = {0: "cusp", 1: "node_rational_slope", -1: "node_irrational_slope"}
+    assert curve_invariants(E).singular_kind == want[quadratic_character(A)]
+
+
 def test_j_of_short_curve(F13):
     E = Curve.short(F13, F13(6), F13(11))
     a, b = 6, 11

@@ -140,7 +140,11 @@ def test_edwards_addition(F13):
 
 
 def test_all_points_matches_count(F13, F8, F9):
-    for E in _sample_curves(F13, F8, F9):
+    F16 = FieldSpec(2, 4, (1, 1, 0, 0, 1))
+    F32 = FieldSpec(2, 5, (1, 0, 1, 0, 0, 1))
+    extra = [Curve.make(F, *c) for F in (F16, F32)
+             for c in ((1, (0, 1), 0, 0, (1, 1)), (0, 0, 1, (0, 1), 0))]
+    for E in _sample_curves(F13, F8, F9) + extra:
         pts = all_points(E)
         assert pts[0].is_infinity
         assert len(pts) == brute_force_order(E).N

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from ecgroups.count import brute_force_order, hasse_window, point_order
-from ecgroups.curve import Curve, is_nonsingular, j_invariant
+from ecgroups.curve import Curve, enumerate_short_curves, is_nonsingular, j_invariant
 from ecgroups.errors import (
     AnomalousCurve,
     EcgroupsError,
@@ -14,7 +14,8 @@ from ecgroups.errors import (
     NotADivisor,
 )
 from ecgroups.field import FieldSpec, embed
-from ecgroups.point import all_points, scalar_mul
+from ecgroups.intutil import is_prime
+from ecgroups.point import add, all_points, scalar_mul
 from ecgroups.structure import (
     CLASS_NUMBER_ONE_J,
     cm_construct,
@@ -50,6 +51,14 @@ def test_golden_structures(F13):
         assert g.cyclic == (d == 1)
 
 
+def _span(g):
+    """|<G, Q>| by enumerating every i*G + j*Q."""
+    (G, oG), *rest = g.generators
+    Q, oQ = rest[0] if rest else (G, 1)
+    return len({add(scalar_mul(i, G), scalar_mul(j, Q))
+                for i in range(oG) for j in range(oQ)})
+
+
 def test_generator_witnesses_valid(F13):
     rng = random.Random(5)
     for _ in range(20):
@@ -62,9 +71,39 @@ def test_generator_witnesses_valid(F13):
         if rest:
             (Q, oQ), = rest
             assert point_order(Q, g.N) == oQ == g.d
-            # independence: Q is not inside the cyclic part's d-subgroup
-            sub = {scalar_mul(k * (g.exponent // g.d), G) for k in range(g.d)}
-            assert Q not in sub
+        # independence: the witnesses generate the whole group
+        assert _span(g) == g.N
+
+
+def test_composite_d_witness_regression(F13):
+    # y^2 = x^3 + 5 over F_13 is Z_4 x Z_4 with G = (8,6); Q = (4,11), also
+    # of order 4, spans only 8 points with G, since [2]Q = [2]G = (6,0)
+    g = group_structure(Curve.short(F13, F13(0), F13(5)))
+    assert (g.N, g.d, g.e) == (16, 4, 1)
+    assert str(g.generators[1][0]) == "(12,11)"
+    assert _span(g) == 16
+
+
+def test_composite_d_witnesses_span_group():
+    """Every short-curve class over F_p, p < 50, whose order admits a
+    composite d, for seeds 0-2: where d comes out composite the two
+    witnesses generate all N points."""
+    composite = 0
+    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+        f = FieldSpec(p)
+        elts = list(f.elements())
+        for (ia, ib), *_ in enumerate_short_curves(f)["classes"]:
+            E = Curve.short(f, elts[ia], elts[ib])
+            N = brute_force_order(E).N
+            if not any(N % (d * d) == 0 and (p - 1) % d == 0 and not is_prime(d)
+                       for d in range(4, p)):
+                continue
+            for seed in range(3):
+                g = group_structure(E, seed)
+                if g.d > 1 and not is_prime(g.d):
+                    composite += 1
+                    assert _span(g) == N
+    assert composite == 30
 
 
 def test_structure_invariants_exhaustive_f7():
