@@ -136,7 +136,7 @@ def cmd_embed(args):
 
 def cmd_lint(args):
     E = _curve_arg(args)
-    res = structure.curve_order(E, args.seed)
+    res = count.curve_order(E, args.seed)
     from . import intutil
 
     factors = intutil.factorize(res.N)
@@ -145,7 +145,7 @@ def cmd_lint(args):
         flags.append("smooth_order")
     if res.N == E.field.q:
         flags.append("anomalous")
-    if count.is_supersingular(E):
+    if res.t % E.field.p == 0:
         flags.append("supersingular")
     k = None
     r = max(factors)

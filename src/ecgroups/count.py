@@ -265,7 +265,8 @@ class LucasState:
 
 def extension_orders(E: Curve, upto: int, base: OrderResult | None = None):
     """(n, V_n, N_n) for n = 1..upto, N_n = #E(F_{q^n}) by the Lucas lift."""
-    assert upto <= 200
+    if not 1 <= upto <= 200:
+        raise ValueError(f"extension degrees need 1 <= upto <= 200, got {upto}")
     if base is None:
         base = brute_force_order(E)
     st = LucasState.build(base.t, E.field.q, upto)
@@ -413,7 +414,8 @@ def manin_trace(beta: FieldElement, p: int) -> int:
     """The residue H_p(beta) mod p; congruent to the trace a_p of the
     Legendre curve y^2 = x(x-1)(x-beta)."""
     f = beta.field
-    assert f.p == p and f.n == 1
+    if f.p != p or f.n != 1:
+        raise ValueError(f"beta must lie in the prime field F_{p}, got an element of F_{f.q}")
     if beta.is_zero() or beta == f.one():
         raise BadBeta("Legendre parameter must avoid 0 and 1")
     return hasse_polynomial(p)(beta).lift()
@@ -432,14 +434,17 @@ def manin_ap(beta: FieldElement) -> int | None:
 # ---------------------------------------------------------------------------
 
 
+def curve_order(E: Curve, seed: int = 0) -> OrderResult:
+    """Order by brute force for q <= 10^6 and by BSGS above, over every
+    field."""
+    if E.field.q <= 10 ** 6:
+        return brute_force_order(E)
+    return bsgs_order(E, seed)
+
+
 def is_supersingular(E: Curve) -> bool:
     """Trace divisible by the characteristic."""
-    q = E.field.q
-    if q <= 10 ** 6:
-        res = brute_force_order(E)
-    else:
-        res = bsgs_order(E, seed=0)
-    return res.t % E.field.p == 0
+    return curve_order(E).t % E.field.p == 0
 
 
 def twist_order_check(E: Curve, witness: FieldElement) -> bool:

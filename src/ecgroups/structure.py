@@ -12,15 +12,7 @@ import random
 from dataclasses import dataclass
 
 from . import intutil
-from .count import (
-    OrderResult,
-    brute_force_order,
-    bsgs_order,
-    hasse_window,
-    is_supersingular,
-    point_order,
-    random_point,
-)
+from .count import curve_order, hasse_window, is_supersingular, random_point
 from .curve import (
     Curve,
     is_nonsingular,
@@ -47,15 +39,7 @@ from .field import (
     square_root,
     twist_witness,
 )
-from .point import Point, add, all_points, scalar_mul
-
-
-def curve_order(E: Curve, seed: int = 0) -> OrderResult:
-    """Order by whichever in-scope method fits the field size."""
-    bound = 10 ** 6 if E.field.n == 1 else 2 ** 20
-    if E.field.q <= bound:
-        return brute_force_order(E)
-    return bsgs_order(E, seed)
+from .point import Point, add, negate, scalar_mul
 
 
 # ---------------------------------------------------------------------------
@@ -91,102 +75,83 @@ class GroupStructure:
         }
 
 
-def _group_exponent(E: Curve, N: int, rng: random.Random) -> int:
-    """lcm of point orders: exhaustive for small fields, sampled otherwise."""
-    if E.field.q <= 2000:
-        # Exhaustive, but with an early exit: once the running lcm L admits
-        # d = N/L with d | L and d | q-1, confirm full d-torsion (d^2 points
-        # killed by d) and stop.  That certifies L is the exponent without
-        # computing the order of every remaining point.
-        pts = [P for P in all_points(E) if not P.is_infinity]
-        rng.shuffle(pts)
-        exp = 1
-        last_checked = 0
-        for P in pts:
-            exp = math.lcm(exp, point_order(P, N))
-            if exp == last_checked:
-                continue
-            last_checked = exp
-            d = N // exp
-            if d == 1:
-                return exp
-            if exp % d == 0 and (E.field.q - 1) % d == 0:
-                killed = 1 + sum(
-                    1 for Q in pts if scalar_mul(d, Q).is_infinity
-                )
-                if killed == d * d:
-                    return exp
-        return exp
-    exp = 1
-    trials = 32 + max(
-        (v for _p, v in intutil.factorize(N).items()), default=0
-    )
-    for _ in range(trials):
-        P = random_point(E, rng)
-        exp = math.lcm(exp, point_order(P, N))
-        if exp == N:
-            break
-    return exp
+def _dlog(P: Point, P1: Point, l: int, b: int):
+    """m in [0, l^b) with [m]P1 = P for P1 of order l^b and P of order
+    dividing l^b, or None when P lies outside <P1>.
+
+    Pohlig-Hellman over the base-l digits of m; each digit is a discrete
+    log in the order-l group <[l^(b-1)]P1>, found by baby-step giant-step
+    with a table keyed on (x, y) as in bsgs_order."""
+    if P.is_infinity:
+        return 0
+    gamma = scalar_mul(l ** (b - 1), P1)
+    s = math.isqrt(l - 1) + 1  # s^2 >= l
+    table = {}
+    acc = Point.infinity(P.curve)
+    for j in range(s):
+        table[(acc.x, acc.y)] = j
+        acc = add(acc, gamma)
+    back = negate(acc)  # -[s]gamma
+    m = 0
+    for i in range(b):
+        h = scalar_mul(l ** (b - 1 - i), add(P, negate(scalar_mul(m, P1))))
+        for giant in range(s):
+            j = table.get((h.x, h.y))
+            if j is not None:
+                m += (giant * s + j) * l ** i
+                break
+            h = add(h, back)
+        else:
+            return None
+    return m
+
+
+def _sylow_basis(E: Curve, N: int, l: int, v: int, rng: random.Random):
+    """((P1, b1), (P2, b2)) with P1 of order l^b1, P2 of order l^b2,
+    b1 >= b2, b1 + b2 = v and <P1> and <P2> meeting only in O: a basis of
+    the l-Sylow subgroup of E(F_q), l^v the exact power of l dividing N.
+
+    Each sample P = [N/l^v]R of a random point R is reduced against P1:
+    with k least such that [l^k]P = [m]P1, l^k divides m and
+    P - [m/l^k]P1 has order l^k and meets <P1> only in O; it becomes P2
+    if k > b2. A sample of larger order than P1 replaces it, P2 resets to
+    O, and the old P1 is reduced instead. The span has l^(b1+b2) points,
+    so the loop stops exactly at the whole subgroup."""
+    O = Point.infinity(E)
+    (P1, b1), (P2, b2) = (O, 0), (O, 0)
+    while b1 + b2 < v:
+        P = scalar_mul(N // l ** v, random_point(E, rng))
+        c, T = 0, P
+        while not T.is_infinity:
+            c, T = c + 1, scalar_mul(l, T)
+        if c > b1:
+            (P1, b1), (P2, b2), P = (P, c), (O, 0), P1
+        k, T = 0, P
+        while (m := _dlog(T, P1, l, b1)) is None:
+            k, T = k + 1, scalar_mul(l, T)
+        if k > b2:
+            P2, b2 = add(P, negate(scalar_mul(m // l ** k, P1))), k
+    return (P1, b1), (P2, b2)
 
 
 def group_structure(E: Curve, seed: int = 0) -> GroupStructure:
-    """E(F_q) as Z_d x Z_de with generator witnesses; d | gcd(N, q-1)."""
+    """E(F_q) as Z_d x Z_de with generator witnesses; d | gcd(N, q-1).
+
+    The sum of the l-Sylow bases over the primes l | N gives G of order
+    de and Q of order d with <G> and <Q> meeting only in O, so the
+    witnesses certify the structure."""
     N = curve_order(E, seed).N
     rng = random.Random(seed)
-    exponent = _group_exponent(E, N, rng)
-    assert N % exponent == 0
-    d = N // exponent
-    assert exponent % d == 0 and (E.field.q - 1) % d == 0
-    e = exponent // d
-    G, _ = _point_of_order(E, exponent, N, rng)
+    G = Q = Point.infinity(E)
+    de = d = 1
+    for l, v in intutil.factorize(N).items():
+        (P1, b1), (P2, b2) = _sylow_basis(E, N, l, v, rng)
+        G, Q = add(G, P1), add(Q, P2)
+        de, d = de * l ** b1, d * l ** b2
+    assert (E.field.q - 1) % d == 0
     if d == 1:
         return GroupStructure(N, 1, N, ((G, N),))
-    # A second witness Qd of order d is independent, <G> and <Qd> meeting
-    # only in O, iff for each prime l | d the point [d/l]Qd of order l lies
-    # outside the order-l subgroup of <G>.
-    subgroups = []
-    for l in intutil.factorize(d):
-        step = scalar_mul(exponent // l, G)
-        sub = set()
-        acc = Point.infinity(E)
-        for _ in range(l):
-            sub.add(acc)
-            acc = add(acc, step)
-        subgroups.append((l, sub))
-    while True:
-        Q = random_point(E, rng)
-        o = point_order(Q, N)
-        if o % d != 0:
-            continue
-        Qd = scalar_mul(o // d, Q)
-        if all(scalar_mul(d // l, Qd) not in sub for l, sub in subgroups):
-            return GroupStructure(N, d, e, ((G, exponent), (Qd, d)))
-
-
-def _point_of_order(E: Curve, target: int, N: int, rng: random.Random):
-    """A point of order exactly `target` (which must divide the exponent),
-    assembled from coprime prime-power components of sampled points."""
-    parts: dict[int, Point] = {}
-    want = intutil.factorize(target)
-    for _ in range(10 ** 4):
-        missing = [p for p in want if p not in parts]
-        if not missing:
-            break
-        P = random_point(E, rng)
-        o = point_order(P, N)
-        for p, v in want.items():
-            if p in parts:
-                continue
-            if o % p ** v == 0:
-                comp = scalar_mul(o // p ** v, P)
-                parts[p] = comp
-    else:
-        raise AssertionError("failed to assemble a point of the target order")
-    G = Point.infinity(E)
-    for p, comp in parts.items():
-        G = add(G, comp)
-    assert point_order(G, target) == target
-    return G, target
+    return GroupStructure(N, d, de // d, ((G, de), (Q, d)))
 
 
 def primitive_point(E: Curve, seed: int = 0):
@@ -284,7 +249,7 @@ def embedding_degree(E: Curve, r: int, seed: int = 0) -> EmbeddingReport:
         raise NotADivisor("subgroup order equal to the characteristic")
     k = intutil.multiplicative_order(q % r, r)
     assert pow(res.t - 1, k, r) == 1 % r  # t - 1 is a k-th root of unity mod r
-    if is_supersingular(E):
+    if res.t % E.field.p == 0:  # supersingular
         assert k in (1, 2, 3, 4, 6)
     is_weak = k < math.log2(q) ** 2
     return EmbeddingReport(r, k, is_weak)
@@ -424,7 +389,8 @@ def cm_construct(d: int, p: int, seed: int = 0):
     Returns (Curve, OrderResult)."""
     if d not in CLASS_NUMBER_ONE_J:
         raise UnsupportedFamily(f"discriminant {d} has class number > 1")
-    assert intutil.is_prime(p) and p > 3
+    if not (intutil.is_prime(p) and p > 3):
+        raise ValueError(f"CM construction needs a prime p > 3, got p = {p}")
     rep = represent_4p(d, p)
     if rep is None:
         raise NoRepresentation(f"4*{p} = t^2 + {-d}*u^2 has no solution")

@@ -86,7 +86,9 @@ def test_bad_message_input_is_usage_error_under_optimize():
     for argv in (("encode", *curve, "--m", "-1", "--K", "2"),
                  ("decode", *curve, "--point", "inf", "--K", "1"),
                  ("construct", "--field", "p=3", "--N", "4"),
-                 ("zeta", *curve, "--nmax", "100")):
+                 ("zeta", *curve, "--nmax", "100"),
+                 ("cm", "--d", "-3", "--p", "3"),
+                 ("count", *curve, "--method", "lucas", "--n", "300")):
         proc = subprocess.run([sys.executable, "-O", "-m", "ecgroups.cli", *argv],
                               capture_output=True, text=True)
         assert proc.returncode == 2 and proc.stdout == ""

@@ -4,13 +4,15 @@ seeded inputs, compared byte for byte with `golden/cli_corpus.json`.
 A deliberate change of output is recorded by running this file as a
 script (`PYTHONPATH=src python tests/test_cli_golden.py`), which rewrites
 the golden file from the current code; name each changed entry in
-CHANGES.md.
+CHANGES.md. Every `$ ecgroups ...` example in README.md must print the
+line quoted under it.
 """
 
 import contextlib
 import functools
 import io
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,7 @@ import pytest
 from ecgroups.cli import main
 
 GOLDEN = Path(__file__).with_name("golden") / "cli_corpus.json"
+README = Path(__file__).parents[1] / "README.md"
 
 F8 = "p=2;n=3;mod=1,1,0,1"
 F9 = "p=3;n=2;mod=1,0,1"
@@ -97,6 +100,18 @@ def test_golden_covers_corpus():
 @pytest.mark.parametrize("index", range(len(CORPUS)), ids=lambda i: " ".join(CORPUS[i]))
 def test_cli_golden(index):
     assert run(CORPUS[index]) == _golden()[index]
+
+
+def _readme_examples():
+    lines = README.read_text().splitlines()
+    return [(line.removeprefix("$ ecgroups "), lines[i + 1])
+            for i, line in enumerate(lines) if line.startswith("$ ecgroups ")]
+
+
+@pytest.mark.parametrize("command, printed", _readme_examples())
+def test_readme_example(command, printed):
+    assert run(shlex.split(command)) == {
+        "argv": shlex.split(command), "exit": 0, "stdout": printed + "\n"}
 
 
 if __name__ == "__main__":

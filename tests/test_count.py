@@ -14,6 +14,7 @@ from ecgroups.count import (
     bsgs_order,
     closed_form_order,
     cornacchia,
+    curve_order,
     extension_orders,
     hasse_polynomial,
     hasse_window,
@@ -126,6 +127,15 @@ def test_bsgs_over_f2_17_matches_lucas(coeffs):
     Lucas lift of the F_2 count is the independent check."""
     want = extension_orders(Curve.make(FieldSpec(2), *coeffs), 17)[-1][2]
     assert bsgs_order(Curve.make(F2_17, *coeffs), 0).N == want
+
+
+def test_curve_order_over_f1009_2_matches_lucas():
+    """q = 1009^2 lies above the brute-force bound of every field, so
+    curve_order runs BSGS; the Lucas lift of the F_1009 count checks it."""
+    coeffs = (0, 0, 0, 2, 3)
+    want = extension_orders(Curve.make(FieldSpec(1009), *coeffs), 2)[-1][2]
+    res = curve_order(Curve.make(FieldSpec(1009, 2, (-11, 0, 1)), *coeffs))
+    assert (res.method, res.N) == ("bsgs", want)
 
 
 def test_lucas_replication_and_tower_char2():

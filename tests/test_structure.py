@@ -14,8 +14,8 @@ from ecgroups.errors import (
     NotADivisor,
 )
 from ecgroups.field import FieldSpec, embed
-from ecgroups.intutil import is_prime
-from ecgroups.point import add, all_points, scalar_mul
+from ecgroups.intutil import factorize, is_prime
+from ecgroups.point import Point, add, all_points, scalar_mul
 from ecgroups.structure import (
     CLASS_NUMBER_ONE_J,
     cm_construct,
@@ -51,21 +51,41 @@ def test_golden_structures(F13):
         assert g.cyclic == (d == 1)
 
 
+def _multiples(P, n):
+    """[0]P, [1]P, ..., [n-1]P."""
+    out = [Point.infinity(P.curve)]
+    for _ in range(n - 1):
+        out.append(add(out[-1], P))
+    return out
+
+
 def _span(g):
     """|<G, Q>| by enumerating every i*G + j*Q."""
     (G, oG), *rest = g.generators
     Q, oQ = rest[0] if rest else (G, 1)
-    return len({add(scalar_mul(i, G), scalar_mul(j, Q))
-                for i in range(oG) for j in range(oQ)})
+    return len({add(A, B) for A in _multiples(G, oG) for B in _multiples(Q, oQ)})
 
 
-def test_generator_witnesses_valid(F13):
+WITNESS_FIELDS = {
+    "F13": FieldSpec(13),
+    "F4": FieldSpec(2, 2, (1, 1, 1)),
+    "F8": FieldSpec(2, 3, (1, 1, 0, 1)),
+    "F9": FieldSpec(3, 2, (1, 0, 1)),
+    "F25": FieldSpec(5, 2, (2, 0, 1)),
+    "F27": FieldSpec(3, 3, (1, 2, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", WITNESS_FIELDS)
+def test_generator_witnesses_valid(name):
+    f = WITNESS_FIELDS[name]
     rng = random.Random(5)
     for _ in range(20):
-        E = Curve.short(F13, F13(rng.randrange(13)), F13(rng.randrange(13)))
+        E = Curve(f, *(f.random_element(rng) for _ in range(5)))
         if not is_nonsingular(E):
             continue
         g = group_structure(E)
+        assert (f.q - 1) % g.d == 0
         (G, oG), *rest = g.generators
         assert point_order(G, g.N) == oG == g.exponent
         if rest:
@@ -76,11 +96,11 @@ def test_generator_witnesses_valid(F13):
 
 
 def test_composite_d_witness_regression(F13):
-    # y^2 = x^3 + 5 over F_13 is Z_4 x Z_4 with G = (8,6); Q = (4,11), also
-    # of order 4, spans only 8 points with G, since [2]Q = [2]G = (6,0)
+    # y^2 = x^3 + 5 over F_13 is Z_4 x Z_4 with G = (8,6); a Q of order 4
+    # with [2]Q = [2]G = (6,0) would span only 8 points with G
     g = group_structure(Curve.short(F13, F13(0), F13(5)))
     assert (g.N, g.d, g.e) == (16, 4, 1)
-    assert str(g.generators[1][0]) == "(12,11)"
+    assert str(g.generators[1][0]) == "(7,7)"
     assert _span(g) == 16
 
 
@@ -119,6 +139,57 @@ def test_structure_invariants_exhaustive_f7():
             # every point is killed by the exponent
             for P in all_points(E):
                 assert scalar_mul(g.exponent, P).is_infinity
+
+
+def test_witnesses_span_group_across_seeds():
+    # Z_2 x Z_2^k m groups, where a 2-Sylow sample of larger order than P1
+    # can arrive after P2 was set: the old P2 must not survive the swap
+    for p, a, b in ((19, 2, 4), (31, 3, 14), (37, 1, 2), (47, 1, 26)):
+        f = FieldSpec(p)
+        E = Curve.short(f, f(a), f(b))
+        for seed in range(3):
+            g = group_structure(E, seed)
+            assert g.d == 2 and _span(g) == g.N
+
+
+# non-cyclic groups at p >= 10^4: (p, (a1, a2, a3, a4, a6), N, d)
+SYLOW_CURVES = [
+    # Z_2 x Z_14336: a 2-part Z_2 x Z_2048 whose discrete logs have 11 digits
+    (28607, (13881, 14136, 23511, 28087, 21250), 28672, 2),
+    # Z_10 x Z_1000: 5-part Z_5 x Z_125, so the digit searches in the
+    # order-5 subgroup take giant steps, and a 2-part Z_2 x Z_8
+    (10091, (0, 0, 0, 9313, 3773), 10000, 10),
+]
+
+
+def _killed_by_d(E, d):
+    """Points P with [d]P = O. Over p = 28607 all_points takes over a
+    second, so d = 2 counts the roots x of the 2-division polynomial
+    4x^3 + b2 x^2 + 2 b4 x + b6 (one point each) plus O instead."""
+    if d != 2:
+        return sum(1 for P in all_points(E) if scalar_mul(d, P).is_infinity)
+    p = E.field.p
+    a1, a2, a3, a4, a6 = E.int_coefficients
+    b2, b4, b6 = a1 * a1 + 4 * a2, a1 * a3 + 2 * a4, a3 * a3 + 4 * a6
+    return 1 + sum(1 for x in range(p) if (((4 * x + b2) * x + 2 * b4) * x + b6) % p == 0)
+
+
+@pytest.mark.parametrize("p, coeffs, N, d", SYLOW_CURVES, ids=[f"p{c[0]}" for c in SYLOW_CURVES])
+def test_sylow_witnesses_certify_structure(p, coeffs, N, d):
+    E = Curve.make(FieldSpec(p), *coeffs)
+    for seed in range(3):
+        g = group_structure(E, seed)
+        assert (g.N, g.d) == (N, d)
+        (G, oG), (Q, oQ) = g.generators
+        assert point_order(G, N) == oG == g.exponent
+        assert point_order(Q, N) == oQ == d
+        # <G> and <Q> meet only in O: for each prime l | d the point
+        # [d/l]Q of order l lies outside the order-l subgroup of <G>
+        for l in factorize(d):
+            step = scalar_mul(g.exponent // l, G)
+            assert scalar_mul(d // l, Q) not in {scalar_mul(j, step) for j in range(l)}
+    # the full d-torsion is rational, counted independently
+    assert _killed_by_d(E, d) == d * d
 
 
 def test_primitive_point(F13):
