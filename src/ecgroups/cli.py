@@ -40,7 +40,7 @@ def _curve_arg(args) -> curve.Curve:
 
 def cmd_info(args):
     E = _curve_arg(args)
-    tt, inv = curve.tate_terms_and_invariants(E)
+    tt, inv = E.tate, curve.curve_invariants(E)
     _emit(args, {
         "b2": str(tt.b2), "b4": str(tt.b4), "b6": str(tt.b6), "b8": str(tt.b8),
         "c4": str(tt.c4), "c6": str(tt.c6),

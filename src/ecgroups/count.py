@@ -20,10 +20,11 @@ from functools import lru_cache
 import numpy as np
 
 from . import intutil
-from .curve import Curve, is_nonsingular, odd_char_even_form, quadratic_twist
+from .curve import Curve, is_nonsingular, quadratic_twist
 from .errors import (
     AllPointsSmallOrder,
     BadBeta,
+    BadCharacteristic,
     FieldTooLarge,
     HasseViolation,
     NoLargeOrderPoint,
@@ -31,6 +32,7 @@ from .errors import (
 )
 from .field import FieldElement, FieldSpec, absolute_trace, quadratic_character, square_root
 from .point import Point, add, ladder_adds, negate, scalar_mul
+from .poly import Poly
 
 
 @dataclass(frozen=True)
@@ -60,38 +62,61 @@ def hasse_window(q: int) -> tuple[int, int]:
 # brute force
 
 
+def _require_enumerable(f: FieldSpec):
+    if f.n == 1 and f.q > 10 ** 6:
+        raise FieldTooLarge("prime-field brute force bounded at 10^6")
+    if f.n > 1 and f.q > 2 ** 20:
+        raise FieldTooLarge("extension-field brute force bounded at 2^20")
+
+
 @lru_cache(maxsize=None)
 def _chi_table(p: int) -> np.ndarray:
-    chi = np.full(p, -1, dtype=np.int64)
+    """chi on the residues mod p, as int8. Kept for every p < 10^4 (the
+    tables of all 1229 such primes take 5.7 MB), so that repeated per-prime
+    sweeps hit; character_sum keeps larger ones in _large_chi_table."""
+    chi = np.full(p, -1, dtype=np.int8)
     x = np.arange(1, p, dtype=np.int64)
     chi[(x * x) % p] = 1
     chi[0] = 0
     return chi
 
 
+# the 16 most recent tables for 10^4 <= p <= 10^6: at most 16 MB
+_large_chi_table = lru_cache(maxsize=16)(_chi_table.__wrapped__)
+
+
+def character_sum(g: Poly) -> int:
+    """The sum of chi(g(x)) over x in F_q, chi the quadratic character of
+    odd q. y^2 = g(x) has q + character_sum(g) affine points, and on a
+    long-form curve (2y + a1*x + a3)^2 is the 2-division cubic, so this one
+    sum counts genus 1 (brute_force_order) and genus 2
+    (zeta.hyperelliptic_count)."""
+    f = g.field
+    if f.p == 2:
+        raise BadCharacteristic("character sum needs odd characteristic")
+    _require_enumerable(f)
+    if f.n > 1:
+        return sum(quadratic_character(g(x)) for x in f.elements())
+    p = f.p
+    x = np.arange(p, dtype=np.int64)
+    vals = np.zeros(p, dtype=np.int64)
+    for c in reversed(g.coeffs):
+        vals *= x
+        vals += c.coeffs[0]
+        vals %= p
+    chi = (_chi_table if p < 10 ** 4 else _large_chi_table)(p)
+    return int(chi[vals].sum())
+
+
 def brute_force_order(E: Curve) -> OrderResult:
     """Exhaustive count: character sum for odd q, trace condition for 2^e."""
     f = E.field
-    if f.n == 1 and f.q > 10 ** 6:
-        raise FieldTooLarge("prime-field brute force bounded at 10^6")
-    if f.n > 1 and f.q > 2 ** 20:
-        raise FieldTooLarge("extension-field brute force bounded at 2^20")
+    _require_enumerable(f)
     if not is_nonsingular(E):
         raise SingularCurve("order of a singular curve")
     if f.p == 2:
         return _result(E, _brute_char2(E), "brute")
-    Ev, _ = odd_char_even_form(E)
-    if f.n == 1:
-        p = f.q
-        chi = _chi_table(p)
-        x = np.arange(p, dtype=np.int64)
-        a2, a4, a6 = (c.lift() for c in (Ev.a2, Ev.a4, Ev.a6))
-        vals = (((x + a2) * x % p + a4) * x % p + a6) % p
-        N = p + 1 + int(chi[vals].sum())
-    else:
-        cubic = Ev.rhs_cubic()
-        N = 1 + sum(1 + quadratic_character(cubic(x)) for x in f.elements())
-    return _result(E, N, "brute")
+    return _result(E, f.q + 1 + character_sum(E.two_division_cubic()), "brute")
 
 
 def _brute_char2(E: Curve) -> int:
@@ -263,13 +288,11 @@ class LucasState:
         return self.q ** n + 1 - self.V[n]
 
 
-def extension_orders(E: Curve, upto: int, base: OrderResult | None = None):
+def extension_orders(E: Curve, upto: int):
     """(n, V_n, N_n) for n = 1..upto, N_n = #E(F_{q^n}) by the Lucas lift."""
     if not 1 <= upto <= 200:
         raise ValueError(f"extension degrees need 1 <= upto <= 200, got {upto}")
-    if base is None:
-        base = brute_force_order(E)
-    st = LucasState.build(base.t, E.field.q, upto)
+    st = LucasState.build(curve_order(E).t, E.field.q, upto)
     rows = [(n, st.V[n], st.order(n)) for n in range(1, upto + 1)]
     for d, _, Nd in rows:
         for n, _, Nn in rows:
@@ -324,9 +347,10 @@ def cornacchia(d: int, p: int):
     """Solve x^2 + d*y^2 = p for a prime p, or None."""
     if d == p:
         return (0, 1)
-    r = _sqrt_mod_prime(p - d % p, p)
-    if r is None:
+    roots = square_root(FieldSpec(p)(-d))
+    if roots is None:
         return None
+    r = roots[0].lift()
     if 2 * r < p:
         r = p - r
     a, b = p, r
@@ -341,18 +365,6 @@ def cornacchia(d: int, p: int):
     if y * y != y2:
         return None
     return (b, y)
-
-
-def _sqrt_mod_prime(a: int, p: int):
-    a %= p
-    if a == 0:
-        return 0
-    if p == 2:
-        return a
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    r = square_root(FieldSpec(p)(a))
-    return r[0].lift()
 
 
 def closed_form_order(E: Curve) -> OrderResult | None:
@@ -397,11 +409,9 @@ def closed_form_order(E: Curve) -> OrderResult | None:
 # Hasse invariant and the Manin congruence
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def hasse_polynomial(p: int):
     """H_p(x) = (-1)^n sum C(n,k)^2 x^k over F_p, n = (p-1)/2."""
-    from .poly import Poly
-
     if not (p % 2 == 1 and intutil.is_prime(p) and p <= 10 ** 4):
         raise ValueError(f"Hasse polynomial needs an odd prime p <= 10^4, got {p}")
     n = (p - 1) // 2

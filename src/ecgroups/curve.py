@@ -9,7 +9,7 @@ and Edwards models, and exhaustive classification over tiny fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .errors import (
     BadCharacteristic,
@@ -58,6 +58,10 @@ class Curve:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
 
     @cached_property
+    def tate(self) -> TateTerms:
+        return tate_terms(self)
+
+    @cached_property
     def nonsingular(self) -> bool:
         return not discriminant(self).is_zero()
 
@@ -84,9 +88,13 @@ class Curve:
         return _quadratic_roots(self.a1 * x + self.a3,
                                 ((x + self.a2) * x + self.a4) * x + self.a6)
 
-    def rhs_cubic(self) -> Poly:
-        """x^3 + a2*x^2 + a4*x + a6 as a polynomial."""
-        return Poly.make(self.field, [self.a6, self.a4, self.a2, self.field(1)])
+    def two_division_cubic(self) -> Poly:
+        """4x^3 + b2*x^2 + 2*b4*x + b6, which equals (2y + a1*x + a3)^2 on
+        the curve: in odd characteristic its roots are the x-coordinates of
+        the points of order 2, and y -> 2y + a1*x + a3 is a bijection, so
+        x carries 1 + chi(cubic(x)) points."""
+        t = self.tate
+        return Poly.make(self.field, [t.b6, 2 * t.b4, t.b2, 4])
 
     def __str__(self):
         coeffs = ",".join(str(c) for c in self.coefficients())
@@ -172,10 +180,9 @@ def tate_terms(E: Curve) -> TateTerms:
     return TateTerms(b2, b4, b6, b8, c4, c6)
 
 
-@lru_cache(maxsize=4096)
 def discriminant(E: Curve) -> FieldElement:
     """Always the b-term polynomial form, valid in every characteristic."""
-    t = tate_terms(E)
+    t = E.tate
     return (
         -(t.b2 * t.b2 * t.b8)
         - 8 * t.b4 * t.b4 * t.b4
@@ -218,13 +225,9 @@ def curve_invariants(E: Curve) -> CurveInvariants:
     d = discriminant(E)
     if d.is_zero():
         return CurveInvariants(d, None, _classify_singularity(E))
-    t = tate_terms(E)
+    t = E.tate
     j = t.c4 * t.c4 * t.c4 / d
     return CurveInvariants(d, j, "nonsingular")
-
-
-def tate_terms_and_invariants(E: Curve):
-    return tate_terms(E), curve_invariants(E)
 
 
 def j_invariant(E: Curve) -> FieldElement:
@@ -436,8 +439,7 @@ def legendre_parameters(E: Curve) -> set:
         raise BadCharacteristic("Legendre form needs odd characteristic")
     if not is_nonsingular(E):
         raise SingularCurve("Legendre form of a singular curve")
-    Ev, _ = odd_char_even_form(E)
-    roots = Ev.rhs_cubic().roots()
+    roots = E.two_division_cubic().roots()
     if len(roots) != 3:
         raise IncompleteTwoTorsion(
             "cubic does not split: 2-torsion not fully rational"

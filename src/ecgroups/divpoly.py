@@ -77,10 +77,13 @@ class _PsiTable:
 
 
 _tables: dict = {}
+_TABLES_KEPT = 32  # curves whose tables are kept; the oldest goes first
 
 
 def _table(E: Curve) -> _PsiTable:
     if E not in _tables:
+        if len(_tables) >= _TABLES_KEPT:
+            del _tables[next(iter(_tables))]
         _tables[E] = _PsiTable(E)
     return _tables[E]
 

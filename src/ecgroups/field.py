@@ -334,6 +334,7 @@ def quadratic_character(a: FieldElement) -> int:
     return 1 if r == f.one() else -1
 
 
+@lru_cache(maxsize=64)
 def twist_witness(f: FieldSpec) -> FieldElement:
     """The first element, in elements() order, that a quadratic twist
     takes: a quadratic nonresidue for odd q, an element of absolute
@@ -423,7 +424,7 @@ def absolute_trace(a: FieldElement) -> FieldElement:
     return t
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def quadratic_extension(f: FieldSpec) -> FieldSpec:
     """F_{q^2} over the prime field; deterministic smallest modulus.
 

@@ -17,7 +17,6 @@ from .curve import (
     Curve,
     is_nonsingular,
     j_invariant,
-    odd_char_even_form,
     quadratic_twist,
     standard_curve_for_j,
 )
@@ -175,27 +174,12 @@ def parity_and_two_sylow(E: Curve, seed: int = 0) -> dict:
     """
     if E.field.p == 2:
         raise BadCharacteristic("parity analysis needs odd characteristic")
-    Ev, _ = odd_char_even_form(E)
-    nroots = len(Ev.rhs_cubic().roots())
+    N = curve_order(E, seed).N  # raises SingularCurve before the root count
+    nroots = len(E.two_division_cubic().roots())
     assert nroots in (0, 1, 3)
-    N = curve_order(E, seed).N
-    v2 = 0
-    n = N
-    while n % 2 == 0:
-        n //= 2
-        v2 += 1
-    if nroots == 3:
-        parity_class = "0 mod 4"
-        rank = 2
-        assert N % 4 == 0
-    elif nroots == 1:
-        parity_class = "even"
-        rank = 1
-        assert N % 2 == 0
-    else:
-        parity_class = "odd"
-        rank = 0
-        assert N % 2 == 1
+    parity_class, rank = {3: ("0 mod 4", 2), 1: ("even", 1), 0: ("odd", 0)}[nroots]
+    v2 = (N & -N).bit_length() - 1  # the 2-adic valuation of N
+    assert v2 >= rank and (v2 == 0) == (rank == 0)
     return {
         "parity_class": parity_class,
         "sylow_rank": rank,
@@ -339,17 +323,13 @@ def construct_curve_with_order(q: int, N: int, seed: int = 0) -> Curve:
             continue
         P = Point.at(E, 1, 1)
         if scalar_mul(N, P).is_infinity:
-            if _verify_order(E, N, seed):
+            if curve_order(E, seed).N == N:
                 return E
         elif scalar_mul(2 * q + 2 - N, P).is_infinity:
             Et = quadratic_twist(E, nonresidue)
-            if _verify_order(Et, N, seed):
+            if curve_order(Et, seed).N == N:
                 return Et
     raise ConstructionTimeout(f"no curve with {N} points found in {budget} trials")
-
-
-def _verify_order(E: Curve, N: int, seed: int) -> bool:
-    return curve_order(E, seed).N == N
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import intutil
-from .count import LucasState, brute_force_order, _chi_table
-from .curve import Curve, curve_invariants, discriminant
+from .count import LucasState, _chi_table, character_sum, curve_order
+from .curve import Curve, curve_invariants
 from .errors import BoundsViolated, FieldTooLarge, HasseViolation, MissingPrime
-from .field import FieldSpec
+from .field import FieldSpec, quadratic_character
+from .poly import Poly
 
 
 def _nonneg(a: int, b: int, q: int) -> bool:
@@ -95,7 +96,7 @@ def lpoly_from_trace(t: int, q: int) -> LPolynomial:
 
 
 def lpoly_of_curve(E: Curve) -> LPolynomial:
-    return lpoly_from_trace(brute_force_order(E).t, E.field.q)
+    return lpoly_from_trace(curve_order(E).t, E.field.q)
 
 
 def zeta_series_expand(L: LPolynomial, n_max: int) -> list[int]:
@@ -214,25 +215,24 @@ def conductor_surrogate(model: tuple[int, int, int, int, int]) -> int:
 def reduction_trace(model: tuple[int, int, int, int, int], p: int) -> int:
     """a_p of the reduction mod p: q+1-N at good primes, and the standard
     bad-prime values +1 / -1 / 0 for split node / nonsplit node / cusp."""
-    f = FieldSpec(p)
-    E = Curve.make(f, *model)
-    inv = curve_invariants(E)
-    if inv.singular_kind == "nonsingular":
-        return brute_force_order(E).t
+    E = Curve.make(FieldSpec(p), *model)
+    if E.nonsingular:
+        return curve_order(E).t
     return {
         "node_rational_slope": 1,
         "node_irrational_slope": -1,
         "cusp": 0,
-    }[inv.singular_kind]
+    }[curve_invariants(E).singular_kind]
 
 
 def curve_l_series(model: tuple[int, int, int, int, int], n_max: int) -> list[int]:
     """a_1..a_{n_max} of the L-series attached to an integer model."""
+    disc = integer_discriminant(model)
     traces = {}
     bad = set()
     for p in intutil.primes_up_to(n_max):
         traces[p] = reduction_trace(model, p)
-        if integer_discriminant(model) % p == 0:
+        if disc % p == 0:
             bad.add(p)
     return l_series_coefficients(traces, n_max, frozenset(bad))
 
@@ -314,7 +314,7 @@ def angle_sequence(model_or_curve, mode: str, limit: int) -> dict:
     elif mode == "vary_degree":
         E = model_or_curve
         q = E.field.q
-        t1 = brute_force_order(E).t
+        t1 = curve_order(E).t
         st = LucasState.build(t1, q, max(limit, 1))
         for n in range(1, limit + 1):
             samples.append(AngleSample(n, st.V[n], _angle(st.V[n], q ** n)))
@@ -333,19 +333,17 @@ def angle_sequence(model_or_curve, mode: str, limit: int) -> dict:
 
 
 def hyperelliptic_count(field: FieldSpec, coeffs) -> int:
-    """#C(F_q) for y^2 = f(x), deg f in {5, 6}, by solution enumeration.
+    """#C(F_q) for y^2 = f(x), deg f in {5, 6}, odd q: q + sum chi(f(x))
+    affine points, as for genus 1 (count.character_sum).
 
     Points at infinity: one for deg 5; for deg 6, two when the leading
     coefficient is a square and none otherwise. This convention makes
     L(1) = N_1 come out right on desk examples.
     """
-    from .field import quadratic_character
-    from .poly import Poly
-
     f = Poly.make(field, coeffs)
     if f.degree not in (5, 6):
         raise ValueError(f"y^2 = f(x) needs deg f in {{5, 6}}, got {f.degree}")
-    n = sum(1 + quadratic_character(f(x)) for x in field.elements())
+    n = field.q + character_sum(f)
     if f.degree == 5:
         return n + 1
     return n + 1 + quadratic_character(f.leading())

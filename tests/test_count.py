@@ -3,6 +3,7 @@ the coefficient-polynomial congruence for the Legendre family."""
 
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,8 @@ from ecgroups.count import (
     order_via_random_point,
     twist_order_check,
 )
-from ecgroups.curve import Curve, is_nonsingular
+from ecgroups import count, intutil
+from ecgroups.curve import Curve, is_nonsingular, odd_char_even_form
 from ecgroups.errors import AllPointsSmallOrder, BadBeta, EcgroupsError
 from ecgroups.field import FieldSpec, quadratic_character
 from ecgroups.poly import Poly
@@ -287,3 +289,60 @@ def test_hasse_bound_always_holds(k):
         r = brute_force_order(E)
         lo, hi = hasse_window(101)
         assert lo <= r.N <= hi
+
+
+# odd fields for the long-form counts, characteristic 3 included
+ODD_FIELDS = {
+    "F5": FieldSpec(5), "F13": FieldSpec(13), "F101": FieldSpec(101),
+    "F9": FieldSpec(3, 2, (1, 0, 1)), "F25": FieldSpec(5, 2, (2, 0, 1)),
+    "F27": FieldSpec(3, 3, (1, 2, 0, 1)),
+}
+
+
+def long_form_curves(f, count, seed=0):
+    """Nonsingular long-form curves with a1, a3 != 0."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        a = [f.random_element(rng) for _ in range(5)]
+        E = Curve(f, *a)
+        if not (a[0].is_zero() or a[2].is_zero()) and is_nonsingular(E):
+            out.append(E)
+    return out
+
+
+def even_form_count(E):
+    """The count through the change of variables to y^2 = cubic, one
+    FieldElement at a time."""
+    Ev, _ = odd_char_even_form(E)
+    f = E.field
+    return 1 + sum(1 + quadratic_character(((x + Ev.a2) * x + Ev.a4) * x + Ev.a6)
+                   for x in f.elements())
+
+
+@pytest.mark.parametrize("name", ODD_FIELDS)
+def test_count_on_long_form_matches_even_form(name):
+    f = ODD_FIELDS[name]
+    for E in long_form_curves(f, 12):
+        assert brute_force_order(E).N == even_form_count(E), E
+
+
+def test_count_memory_flat_over_many_primes():
+    """Above 10^4 only the most recent quadratic-character tables are kept:
+    a sweep over 210 primes peaks no higher than over the first 70, and the
+    last prime's table is still there for the next count."""
+    primes = [p for p in intutil.primes_up_to(13000) if p > 10000][:210]
+    peaks = []
+    tracemalloc.start()
+    try:
+        for i, p in enumerate(primes, 1):
+            f = FieldSpec(p)
+            brute_force_order(Curve.short(f, f(1), f(1)))
+            if i in (70, 210):
+                peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
+    hits = count._large_chi_table.cache_info().hits
+    brute_force_order(Curve.short(f, f(2), f(1)))
+    assert count._large_chi_table.cache_info().hits == hits + 1

@@ -1,5 +1,6 @@
 """Weierstrass models: invariants, admissible maps, normal forms, twists."""
 
+import itertools
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from ecgroups.curve import (
     isomorphism_test,
     j_invariant,
     legendre_parameters,
+    odd_char_even_form,
     parse_curve,
     quadratic_twist,
     standard_curve_for_j,
@@ -25,8 +27,9 @@ from ecgroups.curve import (
     to_short_form,
 )
 from ecgroups.count import brute_force_order
-from ecgroups.errors import EcgroupsError, SingularCurve
+from ecgroups.errors import EcgroupsError, IncompleteTwoTorsion, SingularCurve
 from ecgroups.field import FieldSpec, quadratic_character
+from ecgroups.poly import Poly
 
 
 # Frozen integer invariants of y^2 + xy + 2y = x^3 + 3x^2 + 4x + 5,
@@ -233,6 +236,29 @@ def test_legendre_parameters(F13):
     orbit = {a, one - a, one / a, one / (one - a), (a - one) / a, a / (a - one)}
     assert alphas == orbit
     assert len(alphas) in (1, 2, 3, 6)
+
+
+@pytest.mark.parametrize("f", [FieldSpec(13), FieldSpec(3, 2, (1, 0, 1)),
+                               FieldSpec(5, 2, (2, 0, 1))], ids=str)
+def test_legendre_parameters_long_form(f):
+    """On long-form curves the parameters come from the roots of the
+    cubic of the even form y^2 = x^3 + a2 x^2 + a4 x + a6."""
+    rng = random.Random(f.q)
+    split = 0
+    for _ in range(40):
+        E = Curve(f, *(f.random_element(rng) for _ in range(5)))
+        if not is_nonsingular(E):
+            continue
+        Ev, _ = odd_char_even_form(E)
+        roots = Poly.make(f, [Ev.a6, Ev.a4, Ev.a2, 1]).roots()
+        if len(roots) != 3:
+            with pytest.raises(IncompleteTwoTorsion):
+                legendre_parameters(E)
+            continue
+        split += 1
+        want = {(e3 - e1) / (e2 - e1) for e1, e2, e3 in itertools.permutations(roots)}
+        assert {lp.alpha for lp in legendre_parameters(E)} == want
+    assert split > 0
 
 
 def test_enumerate_short_curves_f5(F5):

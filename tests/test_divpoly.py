@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ecgroups.curve import Curve, is_nonsingular
 from ecgroups.count import brute_force_order
+from ecgroups import divpoly
 from ecgroups.divpoly import division_polynomial, torsion_points, torsion_test
 from ecgroups.errors import EcgroupsError
 from ecgroups.field import FieldSpec
@@ -130,6 +131,16 @@ def test_torsion_subgroup_size(F13):
             assert (n * n) % len(full) == 0
             got = torsion_points(E, n)
             assert {P for P in got} | {Point.infinity(E)} == full | {Point.infinity(E)}
+
+
+def test_psi_tables_bounded():
+    """Memoised psi tables are kept for a bounded number of curves."""
+    curves = _short_curves(FieldSpec(11))[:divpoly._TABLES_KEPT + 8]
+    divpoly._tables.clear()
+    for E in curves:
+        division_polynomial(E, 4)
+    assert len(divpoly._tables) == divpoly._TABLES_KEPT
+    assert curves[-1] in divpoly._tables and curves[0] not in divpoly._tables
 
 
 def test_bad_arguments(F13):

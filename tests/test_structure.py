@@ -5,17 +5,25 @@ import random
 import pytest
 
 from ecgroups.count import brute_force_order, hasse_window, point_order
-from ecgroups.curve import Curve, enumerate_short_curves, is_nonsingular, j_invariant
+from ecgroups.curve import (
+    Curve,
+    enumerate_short_curves,
+    is_nonsingular,
+    j_invariant,
+    odd_char_even_form,
+)
 from ecgroups.errors import (
     AnomalousCurve,
     EcgroupsError,
     EncodingFailed,
     NoRepresentation,
     NotADivisor,
+    SingularCurve,
 )
 from ecgroups.field import FieldSpec, embed
 from ecgroups.intutil import factorize, is_prime
 from ecgroups.point import Point, add, all_points, scalar_mul
+from ecgroups.poly import Poly
 from ecgroups.structure import (
     CLASS_NUMBER_ONE_J,
     cm_construct,
@@ -214,6 +222,9 @@ def test_parity_classes(F13, F7):
     out2 = parity_and_two_sylow(E2)
     assert out2["parity_class"] == "even" and out2["root_count"] == 1
     assert brute_force_order(E2).N % 2 == 0
+    # singular, the cubic with a double root: a typed error, with or without -O
+    with pytest.raises(SingularCurve):
+        parity_and_two_sylow(Curve.make(F13, 0, -1 % 13, 0, 0, 0))  # y^2 = x^2(x-1)
 
 
 def test_parity_consistent_with_order():
@@ -232,6 +243,23 @@ def test_parity_consistent_with_order():
                 assert N % 4 == 0
             else:
                 assert N % 2 == 0
+
+
+@pytest.mark.parametrize("f", [FieldSpec(13), FieldSpec(3, 2, (1, 0, 1)),
+                               FieldSpec(3, 3, (1, 2, 0, 1)), FieldSpec(5, 2, (2, 0, 1))],
+                         ids=str)
+def test_parity_long_form_matches_even_form(f):
+    """The root count of the 2-division cubic on a long-form curve is that
+    of the cubic of its even form y^2 = x^3 + a2 x^2 + a4 x + a6."""
+    rng = random.Random(f.q)
+    for _ in range(12):
+        E = Curve(f, *(f.random_element(rng) for _ in range(5)))
+        if not is_nonsingular(E):
+            continue
+        Ev, _ = odd_char_even_form(E)
+        out = parity_and_two_sylow(E)
+        assert out["root_count"] == len(Poly.make(f, [Ev.a6, Ev.a4, Ev.a2, 1]).roots())
+        assert out == parity_and_two_sylow(Ev)
 
 
 def test_torsion_shape(F13):

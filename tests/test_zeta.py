@@ -1,14 +1,22 @@
 """L-polynomials, zeta expansions, L-series and angle statistics."""
 
 import math
+import random
 
 import pytest
 from hypothesis import strategies as st
 
-from ecgroups.count import brute_force_order
+from ecgroups.count import brute_force_order, bsgs_order
 from ecgroups.curve import Curve
-from ecgroups.errors import EcgroupsError, HasseViolation, MissingPrime
-from ecgroups.field import FieldSpec, quadratic_extension
+from ecgroups.errors import (
+    BadCharacteristic,
+    EcgroupsError,
+    FieldTooLarge,
+    HasseViolation,
+    MissingPrime,
+)
+from ecgroups.field import FieldSpec, quadratic_character, quadratic_extension
+from ecgroups.poly import Poly
 from ecgroups.zeta import (
     LPolynomial,
     angle_sequence,
@@ -205,6 +213,38 @@ def test_hyperelliptic_count_conventions(F5):
         if (y * y - (x ** 6 + x + 1)) % 5 == 0
     )
     assert hyperelliptic_count(F5, [1, 1, 0, 0, 0, 0, 1]) == affine6 + 2
+
+
+@pytest.mark.parametrize("f", [FieldSpec(5), FieldSpec(13), FieldSpec(101),
+                               FieldSpec(3, 2, (1, 0, 1))], ids=str)
+def test_hyperelliptic_count_matches_element_loop(f):
+    rng = random.Random(f.q)
+    for deg in (5, 6, 5, 6):
+        coeffs = [f.random_element(rng) for _ in range(deg)] + [f.one() + f.one()]
+        g = Poly.make(f, coeffs)
+        affine = sum(1 + quadratic_character(g(x)) for x in f.elements())
+        infinity = 1 if deg == 5 else 1 + quadratic_character(g.leading())
+        assert hyperelliptic_count(f, coeffs) == affine + infinity
+
+
+def test_hyperelliptic_count_bounded():
+    """The brute-force bounds, q <= 10^6 over F_p and q <= 2^20 over
+    F_{p^n}, and odd characteristic: y^2 = f(x) is singular over F_2^n."""
+    with pytest.raises(BadCharacteristic):
+        hyperelliptic_count(FieldSpec(2), [1, 0, 0, 0, 0, 1])
+    with pytest.raises(BadCharacteristic):
+        hyperelliptic_count(FieldSpec(2, 2, (1, 1, 1)), [1, 0, 0, 0, 0, 1])
+    with pytest.raises(FieldTooLarge):
+        hyperelliptic_count(FieldSpec(1000003), [1, 0, 0, 0, 0, 1])
+    with pytest.raises(FieldTooLarge):
+        hyperelliptic_count(FieldSpec(1031, 2, (1, 0, 1)), [1, 0, 0, 0, 0, 1])
+
+
+def test_lpoly_above_brute_force_bound():
+    """p = 1000003 is above the brute-force bound, so the trace comes
+    from BSGS."""
+    E = Curve.make(FieldSpec(1000003), 0, 0, 0, 7, 11)
+    assert lpoly_of_curve(E) == lpoly_from_trace(bsgs_order(E, 0).t, 1000003)
 
 
 TF5_FROZEN = {-4: 1, -3: 2, -2: 3, -1: 2, 0: 4, 1: 2, 2: 3, 3: 2, 4: 1}
