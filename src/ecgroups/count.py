@@ -17,8 +17,6 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from . import intutil
 from .curve import Curve, is_nonsingular, quadratic_twist
 from .errors import (
@@ -31,7 +29,7 @@ from .errors import (
     SingularCurve,
 )
 from .field import FieldElement, FieldSpec, absolute_trace, quadratic_character, square_root
-from .point import Point, add, ladder_adds, negate, scalar_mul
+from .point import Point, _point, add, ladder_adds, negate, scalar_mul
 from .poly import Poly
 
 
@@ -70,10 +68,12 @@ def _require_enumerable(f: FieldSpec):
 
 
 @lru_cache(maxsize=None)
-def _chi_table(p: int) -> np.ndarray:
+def _chi_table(p: int):
     """chi on the residues mod p, as int8. Kept for every p < 10^4 (the
     tables of all 1229 such primes take 5.7 MB), so that repeated per-prime
     sweeps hit; character_sum keeps larger ones in _large_chi_table."""
+    import numpy as np
+
     chi = np.full(p, -1, dtype=np.int8)
     x = np.arange(1, p, dtype=np.int64)
     chi[(x * x) % p] = 1
@@ -97,6 +97,8 @@ def character_sum(g: Poly) -> int:
     _require_enumerable(f)
     if f.n > 1:
         return sum(quadratic_character(g(x)) for x in f.elements())
+    import numpy as np
+
     p = f.p
     x = np.arange(p, dtype=np.int64)
     vals = np.zeros(p, dtype=np.int64)
@@ -143,7 +145,7 @@ def random_point(E: Curve, rng: random.Random) -> Point:
         x = E.field.random_element(rng)
         ys = E.solve_y(x)
         if ys:
-            return Point(E, x, rng.choice(ys))
+            return _point(E, x, rng.choice(ys))
 
 
 def point_order(P: Point, multiple: int) -> int:
@@ -198,7 +200,9 @@ def bsgs_order(E: Curve, seed: int) -> OrderResult:
     """Shanks' method on a random point, with an lcm-of-orders fallback
     when no sampled point's order pins a unique window multiple. `ops`
     counts the group additions of the baby steps, the giant steps and the
-    ladders [n]P."""
+    ladder [lo]P that starts them. The table is keyed by both coordinates,
+    so a hit b at giant step a means [lo + a*m + b]P = O exactly and needs
+    no ladder of its own."""
     if not is_nonsingular(E):
         raise SingularCurve("order of a singular curve")
     f = E.field
@@ -232,9 +236,7 @@ def bsgs_order(E: Curve, seed: int) -> OrderResult:
             if b is not None:
                 n = lo + a * m + b
                 if lo <= n <= hi:
-                    ops += ladder_adds(n)
-                    if scalar_mul(n, P).is_infinity:
-                        hits.append(n)
+                    hits.append(n)
             G = add(G, step)
             ops += 1
             a += 1

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .curve import Curve
 from .errors import BadForm, IndexTooLarge
-from .point import Point, scalar_mul
+from .point import Point, _point, scalar_mul
 from .poly import Poly
 
 _MAX_INDEX = 200
@@ -138,7 +138,7 @@ def torsion_points(E: Curve, n: int) -> set[Point]:
     out = set()
     for x in d.torsion_poly.roots():
         for y in E.solve_y(x):
-            P = Point(E, x, y)
+            P = _point(E, x, y)
             if scalar_mul(n, P).is_infinity:
                 out.add(P)
     return out

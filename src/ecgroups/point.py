@@ -19,21 +19,18 @@ _setattr = object.__setattr__
 
 class Point:
     """A point of E(F_q): affine coordinates (x, y), or infinity with
-    x = y = None. Every point is checked against the curve equation when
-    it is built. Immutable."""
+    x = y = None. Immutable. Points built here (Point.at, parse_point and
+    unpickling too) are checked against the curve equation; _point is not."""
 
     __slots__ = ("curve", "x", "y")
 
     def __init__(self, curve: Curve, x: FieldElement | None = None,
                  y: FieldElement | None = None):
+        if x is not None and not on_curve(curve, x, y):
+            raise ValueError("point does not satisfy the curve equation")
         _setattr(self, "curve", curve)
         _setattr(self, "x", x)
         _setattr(self, "y", y)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.x is not None and not on_curve(self.curve, self.x, self.y):
-            raise ValueError("point does not satisfy the curve equation")
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -77,24 +74,27 @@ class Point:
         return f"({self.x},{self.y})"
 
 
+def _point(curve: Curve, x: FieldElement, y: FieldElement) -> Point:
+    """A point on the curve by construction (a group-law result or a root
+    from Curve.solve_y), built without the check."""
+    P = object.__new__(Point)
+    _setattr(P, "curve", curve)
+    _setattr(P, "x", x)
+    _setattr(P, "y", y)
+    return P
+
+
 def on_curve(curve: Curve, x, y) -> bool:
-    """Whether (x, y) satisfies the curve equation; over a prime field the
-    equation is evaluated in ints."""
+    """Whether (x, y) satisfies the curve equation."""
     f = curve.field
-    x, y = f(x), f(y)
-    a = curve.int_coefficients
-    if a is None:
-        return curve.equation_lhs_minus_rhs(x, y).is_zero()
-    a1, a2, a3, a4, a6 = a
-    x, y = x.coeffs[0], y.coeffs[0]
-    return ((y + a1 * x + a3) * y - ((x + a2) * x + a4) * x - a6) % f.p == 0
+    return curve.equation_lhs_minus_rhs(f(x), f(y)).is_zero()
 
 
 def negate(P: Point) -> Point:
     if P.is_infinity:
         return P
     E = P.curve
-    return Point(E, P.x, -P.y - E.a1 * P.x - E.a3)
+    return _point(E, P.x, -P.y - E.a1 * P.x - E.a3)
 
 
 def _chord_tangent(x1, y1, x2, y2, a, red, inv):
@@ -138,14 +138,14 @@ def add(P: Point, Q: Point) -> Point:
     if a is None:
         xy = _chord_tangent(P.x, P.y, Q.x, Q.y, E.coefficients(), _identity,
                             FieldElement.inverse)
-        return Point(E) if xy is None else Point(E, *xy)
+        return Point(E) if xy is None else _point(E, *xy)
     f = E.field
     p = f.p
     xy = _chord_tangent(P.x.coeffs[0], P.y.coeffs[0], Q.x.coeffs[0], Q.y.coeffs[0], a,
                         p.__rmod__, lambda d: pow(d, -1, p))
     if xy is None:
         return Point(E)
-    return Point(E, FieldElement(f, (xy[0],)), FieldElement(f, (xy[1],)))
+    return _point(E, FieldElement(f, (xy[0],)), FieldElement(f, (xy[1],)))
 
 
 def double(P: Point) -> Point:
@@ -205,7 +205,8 @@ class NafDigits:
 
 def naf_encode(n: int) -> NafDigits:
     """Non-adjacent form: unique signed binary with no adjacent nonzeros."""
-    assert n >= 1
+    if n < 1:
+        raise ValueError(f"NAF needs n >= 1, got {n}")
     digits = []
     while n:
         if n & 1:
@@ -253,7 +254,7 @@ def parse_point(text: str, curve: Curve) -> Point:
 
 def all_points(E: Curve) -> list[Point]:
     """Every rational point, infinity first, then x in elements() order
-    with the y of each x in Curve.solve_y order."""
+    with the y of each x in Curve.solve_y order (roots, so built unchecked)."""
     return [Point.infinity(E)] + [
-        Point(E, x, y) for x in E.field.elements() for y in E.solve_y(x)
+        _point(E, x, y) for x in E.field.elements() for y in E.solve_y(x)
     ]

@@ -38,7 +38,7 @@ from .field import (
     square_root,
     twist_witness,
 )
-from .point import Point, add, negate, scalar_mul
+from .point import Point, _point, add, negate, scalar_mul
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +288,7 @@ def encode_message(E: Curve, m: int, K: int) -> Point:
         x = f(m * K + i)
         ys = E.solve_y(x)
         if ys:
-            return Point(E, x, min(ys, key=FieldElement.canonical_index))
+            return _point(E, x, min(ys, key=FieldElement.canonical_index))
     raise EncodingFailed(f"no candidate x in [{m*K}, {m*K+K}) lands on the curve")
 
 

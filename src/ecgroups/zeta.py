@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import intutil
 from .count import LucasState, _chi_table, character_sum, curve_order
 from .curve import Curve, curve_invariants
@@ -42,27 +40,28 @@ class LPolynomial:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        assert len(self.coeffs) == 2 * self.g + 1
-        assert self.coeffs[0] == 1
+        g, q, c = self.g, self.q, self.coeffs
+        if len(c) != 2 * g + 1 or c[0] != 1:
+            raise BoundsViolated(f"genus {g} needs {2 * g + 1} coefficients with c_0 = 1")
         # i > g gives the same condition divided by q^(i-g); checking it in
         # floats, as q ** (g - i), is inexact
-        for i in range(self.g + 1):
-            assert self.coeffs[2 * self.g - i] == self.coeffs[i] * self.q ** (self.g - i)
+        if any(c[2 * g - i] != c[i] * q ** (g - i) for i in range(g + 1)):
+            raise BoundsViolated("coefficients break the functional equation")
         # Reciprocal roots all of modulus sqrt(q).  Checked exactly: with
         # the symmetry above, this holds iff w = T + q/T maps the roots of
         # the reciprocal polynomial to real values in [-2 sqrt(q), 2 sqrt(q)].
         # (np.roots splits repeated eigenvalues by ~1e-8, so a float check
         # rejects genuine supersingular polynomials like (T^2 + q)^2.)
-        q = self.q
-        if self.g == 1:
-            t = -self.coeffs[1]
-            assert t * t <= 4 * q
+        b = c[1]
+        if g == 1:
+            ok = b * b <= 4 * q
         else:
-            b, c = self.coeffs[1], self.coeffs[2]
-            assert b * b - 4 * c + 8 * q >= 0  # w-roots real
-            assert b * b <= 16 * q
-            assert _nonneg(2 * q + c, 2 * b, q)
-            assert _nonneg(2 * q + c, -2 * b, q)
+            ok = (b * b - 4 * c[2] + 8 * q >= 0  # w-roots real
+                  and b * b <= 16 * q
+                  and _nonneg(2 * q + c[2], 2 * b, q)
+                  and _nonneg(2 * q + c[2], -2 * b, q))
+        if not ok:
+            raise BoundsViolated("reciprocal roots off the circle |T| = sqrt(q)")
 
     def __call__(self, T: int) -> int:
         acc = 0
@@ -125,10 +124,7 @@ def lpoly_from_counts(g: int, counts, q: int) -> LPolynomial:
         c1, c2 = -e1, e2
         if abs(c2) > 6 * q:
             raise BoundsViolated("second coefficient outside the Weil bounds")
-        try:
-            L = LPolynomial(2, q, (1, c1, c2, c1 * q, q * q))
-        except AssertionError:
-            raise BoundsViolated("counts are not the point counts of a curve")
+        L = LPolynomial(2, q, (1, c1, c2, c1 * q, q * q))
     expanded = zeta_series_expand(L, g)
     assert expanded == list(counts[:g])
     return L
@@ -320,6 +316,8 @@ def angle_sequence(model_or_curve, mode: str, limit: int) -> dict:
             samples.append(AngleSample(n, st.V[n], _angle(st.V[n], q ** n)))
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    import numpy as np
+
     thetas = [s.theta for s in samples]
     hist, edges = np.histogram(thetas, bins=64, range=(0.0, math.pi))
     return {
@@ -360,6 +358,8 @@ def trace_frequency(q: int) -> dict[int, int]:
         raise FieldTooLarge("trace census needs an odd prime field")
     if q > 250:
         raise FieldTooLarge("trace census bounded at q = 250")
+    import numpy as np
+
     p = q
     chi = _chi_table(p)
     x = np.arange(p, dtype=np.int64)

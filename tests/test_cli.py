@@ -95,6 +95,13 @@ def test_bad_message_input_is_usage_error_under_optimize():
         assert proc.stderr.startswith("usage error: ") and len(proc.stderr.strip()) > 13
 
 
+def test_cli_import_leaves_numpy_unloaded():
+    # numpy is imported by the counting kernels that use it, not at start-up
+    code = "import sys, ecgroups.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.stdout.strip() == "False", proc.stderr
+
+
 def test_classes_and_census():
     out = run_json("classes", "--q", "5")
     assert out["total_nonsingular"] == 20 and out["class_count"] == 12

@@ -2,6 +2,8 @@
 
 import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from ecgroups.errors import MixedCurves
 from ecgroups.field import FieldSpec
 from ecgroups.point import (
     Point,
+    _point,
     add,
     all_points,
     double,
@@ -51,13 +54,17 @@ def test_group_axioms_exhaustive(F13, F8, F9):
 
 
 def test_closure_and_on_curve(F13, F8, F9):
-    for E in _sample_curves(F13, F8, F9):
+    # the group law builds its results unchecked, so check them here
+    F125 = FieldSpec(5, 3, (1, 1, 0, 1))  # x^3 + x + 1
+    for E in _sample_curves(F13, F8, F9) + [Curve.make(F125, 0, 0, 0, (1, 1), 2)]:
         pts = all_points(E)
         rng = random.Random(1)
         for _ in range(60):
             P, Q = rng.choice(pts), rng.choice(pts)
-            S = add(P, Q)
-            assert S.is_infinity or on_curve(E, S.x, S.y)
+            n = rng.randrange(2, 300)
+            for S in (add(P, Q), double(P), negate(P),
+                      scalar_mul(n, P, "binary"), scalar_mul(n, P, "naf")):
+                assert S.is_infinity or on_curve(E, S.x, S.y)
 
 
 def test_order_annihilates(F13, F8, F9):
@@ -83,6 +90,17 @@ def test_naf_value_and_nonadjacency(n):
     assert all(d in (-1, 0, 1) for d in digits)
     assert all(digits[i] == 0 or digits[i + 1] == 0
                for i in range(len(digits) - 1))
+
+
+def test_naf_rejects_nonpositive():
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            naf_encode(n)
+    # a ValueError, not an assert, so python -O keeps the check
+    code = ("from ecgroups.point import naf_encode\n"
+            "try:\n    naf_encode(0)\nexcept ValueError:\n    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n")
+    assert subprocess.run([sys.executable, "-O", "-c", code]).returncode == 0
 
 
 def test_naf_density():
@@ -184,7 +202,11 @@ def test_group_law_over_random_prime_field_curves(p, coeffs, seed):
 def test_off_curve_points_rejected(F13, F8):
     E = Curve.short(F13, F13(6), F13(11))
     with pytest.raises(ValueError):
+        Point(E, F13(1), F13(1))
+    with pytest.raises(ValueError):
         Point.at(E, 1, 1)
+    with pytest.raises(ValueError):  # unpickling builds through Point(...)
+        pickle.loads(pickle.dumps(_point(E, F13(1), F13(1))))
     with pytest.raises(ValueError):
         parse_point("(1,1)", E)
     E2 = Curve.make(F8, 1, 0, 0, 0, 1)

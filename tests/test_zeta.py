@@ -10,6 +10,7 @@ from ecgroups.count import brute_force_order, bsgs_order
 from ecgroups.curve import Curve
 from ecgroups.errors import (
     BadCharacteristic,
+    BoundsViolated,
     EcgroupsError,
     FieldTooLarge,
     HasseViolation,
@@ -44,9 +45,9 @@ def test_lpolynomial_validation():
     assert L.coeffs == (1, -5, 13) and L.count() == 9
     with pytest.raises(HasseViolation):
         lpoly_from_trace(8, 13)
-    with pytest.raises(AssertionError):
+    with pytest.raises(BoundsViolated):
         LPolynomial(1, 13, (2, -5, 13))  # c_0 must be 1
-    with pytest.raises(AssertionError):
+    with pytest.raises(BoundsViolated):
         LPolynomial(1, 13, (1, -5, 14))  # breaks the functional symmetry
 
 
@@ -57,8 +58,11 @@ def test_supersingular_genus2_accepted():
 
 
 def test_genus2_weil_violation_rejected():
-    with pytest.raises(AssertionError):
+    with pytest.raises(BoundsViolated):
         LPolynomial(2, 5, (1, -9, 30, -45, 25))
+    # (1, 0, 78, 0, 169) passes the c_2 bound but its w-roots are not real
+    with pytest.raises(BoundsViolated):
+        lpoly_from_counts(2, [14, 326], 13)
 
 
 def test_power_sums_match_roots():
