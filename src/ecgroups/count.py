@@ -28,7 +28,7 @@ from .errors import (
     NoLargeOrderPoint,
     SingularCurve,
 )
-from .field import FieldElement, FieldSpec, absolute_trace, quadratic_character, square_root
+from .field import FieldElement, FieldSpec, absolute_trace, square_root
 from .point import Point, _point, add, ladder_adds, negate, scalar_mul
 from .poly import Poly
 
@@ -68,20 +68,19 @@ def _require_enumerable(f: FieldSpec):
 
 
 @lru_cache(maxsize=None)
-def _chi_table(p: int):
-    """chi on the residues mod p, as int8. Kept for every p < 10^4 (the
-    tables of all 1229 such primes take 5.7 MB), so that repeated per-prime
-    sweeps hit; character_sum keeps larger ones in _large_chi_table."""
+def _chi_table(f: FieldSpec):
+    """chi on F_q by canonical_index (int8), from the values of x^2. Every p < 10^4 is
+    kept (5.7 MB in all) so per-prime sweeps hit; other fields use _large_chi_table."""
     import numpy as np
 
-    chi = np.full(p, -1, dtype=np.int8)
-    x = np.arange(1, p, dtype=np.int64)
-    chi[(x * x) % p] = 1
+    chi = np.full(f.q, -1, dtype=np.int8)
+    for _x, index in Poly.make(f, [0, 0, 1]).values():
+        chi[index] = 1
     chi[0] = 0
     return chi
 
 
-# the 16 most recent tables for 10^4 <= p <= 10^6: at most 16 MB
+# the 16 most recent tables with q >= 10^4 or n > 1 (q <= 2^20): at most 17 MB
 _large_chi_table = lru_cache(maxsize=16)(_chi_table.__wrapped__)
 
 
@@ -95,19 +94,8 @@ def character_sum(g: Poly) -> int:
     if f.p == 2:
         raise BadCharacteristic("character sum needs odd characteristic")
     _require_enumerable(f)
-    if f.n > 1:
-        return sum(quadratic_character(g(x)) for x in f.elements())
-    import numpy as np
-
-    p = f.p
-    x = np.arange(p, dtype=np.int64)
-    vals = np.zeros(p, dtype=np.int64)
-    for c in reversed(g.coeffs):
-        vals *= x
-        vals += c.coeffs[0]
-        vals %= p
-    chi = (_chi_table if p < 10 ** 4 else _large_chi_table)(p)
-    return int(chi[vals].sum())
+    chi = (_chi_table if f.n == 1 and f.p < 10 ** 4 else _large_chi_table)(f)
+    return sum(int(chi[index].sum()) for _x, index in g.values())
 
 
 def brute_force_order(E: Curve) -> OrderResult:
@@ -141,8 +129,14 @@ def _brute_char2(E: Curve) -> int:
 
 
 def random_point(E: Curve, rng: random.Random) -> Point:
+    """A point above a random x that has one, with a random y. Only q <= 4
+    admits a curve with no affine point (q + 1 - 2 sqrt(q) > 1 for q >= 5),
+    so there every x is tried once before drawing."""
+    f = E.field
+    if f.q <= 4 and not any(E.solve_y(x) for x in f.elements()):
+        raise AllPointsSmallOrder("E(F_q) = {O}: the curve has no affine point")
     while True:
-        x = E.field.random_element(rng)
+        x = f.random_element(rng)
         ys = E.solve_y(x)
         if ys:
             return _point(E, x, rng.choice(ys))
@@ -150,7 +144,8 @@ def random_point(E: Curve, rng: random.Random) -> Point:
 
 def point_order(P: Point, multiple: int) -> int:
     """Exact order of P given some annihilating multiple."""
-    assert scalar_mul(multiple, P).is_infinity
+    if not scalar_mul(multiple, P).is_infinity:
+        raise ValueError(f"{multiple} does not annihilate the point")
     n = multiple
     for p in intutil.factorize(multiple):
         while n % p == 0 and scalar_mul(n // p, P).is_infinity:

@@ -253,7 +253,8 @@ class AdmissibleMap:
     t: FieldElement
 
     def __post_init__(self):
-        assert not self.u.is_zero()
+        if self.u.is_zero():
+            raise DegenerateParameter("an admissible map needs u != 0")
 
     @staticmethod
     def identity(field: FieldSpec) -> AdmissibleMap:

@@ -8,17 +8,19 @@ packed int tuple: over F_{p^n} coefficient i fills slots
 i(2n-1) ... i(2n-1)+n-1 (Kronecker substitution), so the product of two
 coefficients, of degree at most 2n-2 in the field generator, never
 spills into the next coefficient's slots. Over F_p the slots are the
-residues themselves. Root finding is by exhaustive evaluation, which is
-the right tool at the field sizes this package targets.
+residues themselves. `Poly.values` evaluates a polynomial at every field
+element at once, on numpy arrays; character sums and roots read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain, zip_longest
+from operator import mul
 from typing import TYPE_CHECKING
 
-from .errors import DivisionByZero, MixedFields
+from .errors import DivisionByZero, FieldTooLarge, MixedFields
 
 if TYPE_CHECKING:  # field.py imports the kernels below
     from .field import FieldElement, FieldSpec
@@ -108,6 +110,7 @@ def _pinvmod(a, mod, p):
 
 
 # ---------------------------------------------------------------------------
+_CHUNK = 1 << 15  # array entries per chunk of Poly.values: _CHUNK // n elements
 
 
 @dataclass(frozen=True)
@@ -199,11 +202,35 @@ class Poly:
             acc = acc * x + c
         return acc
 
+    def values(self):
+        """g at every x of F_q in elements() order, a chunk at a time: pairs (x, index) of
+        int64 arrays, x[i] coefficient i of each x and index the canonical_index of g(x)."""
+        import numpy as np
+
+        f, p, n = self.field, self.field.p, self.field.n
+        if f.q >= 2 ** 63 or n * p * p >= 2 ** 63:  # a reduced product stays below n p^2
+            raise FieldTooLarge("array evaluation needs q and n p^2 below 2^63")
+        for start in range(0, f.q, _CHUNK // n):
+            x = [np.arange(start, min(start + _CHUNK // n, f.q), dtype=np.int64)]
+            for _ in range(1, n):  # base-p digits, c_{n-1} fastest as in elements()
+                x[:1] = np.divmod(x[0], p)
+            xt = [x]  # x t^j, t the generator: shift up a degree, fold t^n by the modulus
+            for _ in range(1, n):
+                *low, top = xt[-1]
+                xt.append([(lo - top * m) % p for lo, m in zip([0, *low], f.modulus)])
+            acc, bound = [0] * n, p  # the coefficients of g's Horner value, below bound
+            for c in reversed(self.coeffs or (f.zero(),)):  # acc * x + c
+                if n * bound * p >= 2 ** 63:  # reduce mod p only where int64 could overflow
+                    acc, bound = [a % p for a in acc], p
+                acc = [sum(map(mul, acc, row), ci) for row, ci in zip(zip(*xt), c.coeffs)]
+                bound *= n * p
+            yield x, reduce(lambda i, a: i * p + a, [a % p for a in reversed(acc)])
+
     def roots(self) -> list[FieldElement]:
-        """Distinct roots in the coefficient field, canonical order."""
+        """Distinct roots in the coefficient field, in elements() order."""
         if self.is_zero():
             raise ValueError("every element is a root of the zero polynomial")
-        return [x for x in self.field.elements() if self(x).is_zero()]
+        return [self.field(c) for x, i in self.values() for c in zip(*[r[i == 0] for r in x])]
 
     def __str__(self):
         if self.is_zero():

@@ -100,7 +100,8 @@ def lpoly_of_curve(E: Curve) -> LPolynomial:
 
 def zeta_series_expand(L: LPolynomial, n_max: int) -> list[int]:
     """N_n = q^n + 1 - s_n for n = 1..n_max, all in integer arithmetic."""
-    assert L.g in (1, 2)
+    if L.g not in (1, 2):
+        raise ValueError(f"zeta series expansion needs genus 1 or 2, got {L.g}")
     if n_max > 60:
         raise ValueError(f"zeta series expansion bounded at n_max = 60, got {n_max}")
     s = L.power_sums(n_max)
@@ -109,7 +110,8 @@ def zeta_series_expand(L: LPolynomial, n_max: int) -> list[int]:
 
 def lpoly_from_counts(g: int, counts, q: int) -> LPolynomial:
     """Recover L from the first g point counts via Newton-Girard."""
-    assert g in (1, 2) and len(counts) >= g
+    if g not in (1, 2) or len(counts) < g:
+        raise ValueError(f"genus 1 or 2 and at least g counts, got g = {g}, {len(counts)} counts")
     s = [q ** (n + 1) + 1 - counts[n] for n in range(g)]
     bound = 2 * g * math.sqrt(q)
     if abs(s[0]) > bound:
@@ -133,10 +135,12 @@ def lpoly_from_counts(g: int, counts, q: int) -> LPolynomial:
 def norm_check(L: LPolynomial, n: int, m: int) -> bool:
     """For a CM curve (t^2 < 4q): N_n = |alpha^n - 1|^2 exactly, and for
     m | n the norm factorization makes N_m divide N_n."""
-    assert L.g == 1 and n % m == 0
+    if L.g != 1 or n % m:
+        raise ValueError(f"norm check needs genus 1 and m | n, got g = {L.g}, n = {n}, m = {m}")
     t, q = -L.coeffs[1], L.q
     D = t * t - 4 * q
-    assert D < 0, "norm check applies to the CM case"
+    if D >= 0:
+        raise ValueError("norm check applies to the CM case t^2 < 4q")
     # alpha^k = (V_k + U_k sqrt(D)) / 2
     V = [2, t]
     U = [0, 1]
@@ -361,7 +365,7 @@ def trace_frequency(q: int) -> dict[int, int]:
     import numpy as np
 
     p = q
-    chi = _chi_table(p)
+    chi = _chi_table(FieldSpec(p))
     x = np.arange(p, dtype=np.int64)
     x3 = (x * x % p) * x % p
     counts: dict[int, int] = {}

@@ -35,6 +35,19 @@ def test_info_golden():
                    "singular_kind": "nonsingular"}
 
 
+def test_count_without_affine_points_exits_one():
+    # y^2 + y = x^3 + x + 1 has E(F_2) = {O}: no point can be drawn, so the
+    # sampling methods fail at once (a timeout turns a hang into a failure)
+    for method in ("bsgs", "random"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ecgroups.cli", "count", "--field", "p=2",
+             "--curve", "0,0,1,1,1", "--method", method],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1 and "no affine point" in proc.stderr, proc.stderr
+    assert main(["count", "--field", "p=2", "--curve", "0,0,1,1,1"]) == 0
+
+
 def test_json_keys_sorted():
     rc, out, _ = run("structure", "--field", "p=13", "--curve", "0,0,0,0,3")
     assert rc == 0

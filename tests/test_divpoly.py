@@ -10,7 +10,7 @@ from ecgroups.curve import Curve, is_nonsingular
 from ecgroups.count import brute_force_order
 from ecgroups import divpoly
 from ecgroups.divpoly import division_polynomial, torsion_points, torsion_test
-from ecgroups.errors import EcgroupsError
+from ecgroups.errors import EcgroupsError, FieldTooLarge
 from ecgroups.field import FieldSpec
 from ecgroups.point import Point, all_points, scalar_mul
 from ecgroups.poly import Poly
@@ -99,6 +99,31 @@ def test_packed_arithmetic_matches_evaluation(q, data):
     for x in f.elements():
         a, b = A(x), B(x)
         assert (S(x), D(x), M(x)) == (a + b, a - b, a * b)
+
+
+ROOT_FIELDS = [FieldSpec(1009), FieldSpec(3, 3, (1, 2, 0, 1)),
+               FieldSpec(3, 6, (2, 1, 0, 0, 0, 0, 1)), F25, FieldSpec(7, 2, (1, 0, 1)),
+               FieldSpec(2, 8, (1, 0, 1, 1, 1, 0, 0, 0, 1))]
+
+
+@pytest.mark.parametrize("f", ROOT_FIELDS, ids=str)
+def test_roots_match_scan(f):
+    """Poly.roots evaluates on numpy arrays; a FieldElement scan in
+    elements() order gives the same roots in the same order."""
+    rng = random.Random(f.q)
+    for k in range(4):
+        g = Poly.make(f, [f.random_element(rng) for _ in range(3)] + [f.one()])
+        for _ in range(k):  # k more linear factors, so that roots occur
+            g = g * Poly.make(f, [f.random_element(rng), f.one()])
+        assert g.roots() == [x for x in f.elements() if g(x).is_zero()], str(g)
+
+
+def test_roots_refuse_fields_beyond_int64():
+    # n p^2 >= 2^63 would overflow the int64 products, and q >= 2^63 the
+    # element indices
+    for f in (FieldSpec(2 ** 61 - 1), FieldSpec(2, 64, (1, 1, 0, 1, 1) + (0,) * 59 + (1,))):
+        with pytest.raises(FieldTooLarge):
+            Poly.make(f, [1, 1]).roots()
 
 
 def test_three_torsion_points_golden(F13):

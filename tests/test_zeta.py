@@ -2,6 +2,8 @@
 
 import math
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import strategies as st
@@ -119,6 +121,47 @@ def test_norm_check():
     assert norm_check(lpoly_from_trace(0, 7), 8, 4)
 
 
+# Preconditions a caller can break. Each must raise the same typed error
+# with and without python -O, so none of them may be an assert.
+PRECONDITIONS = """
+from ecgroups.count import point_order
+from ecgroups.curve import AdmissibleMap, Curve
+from ecgroups.errors import DegenerateParameter
+from ecgroups.field import FieldSpec
+from ecgroups.point import Point
+from ecgroups.zeta import (LPolynomial, lpoly_from_counts, lpoly_from_trace, norm_check,
+                           zeta_series_expand)
+
+f = FieldSpec(13)
+P = Point(Curve.short(f, f(0), f(1)), f(2), f(3))  # order 6
+genus3 = LPolynomial(3, 13, (1, 0, 0, 0, 0, 0, 13 ** 3))
+cases = [
+    (ValueError, lambda: point_order(P, 7)),
+    (ValueError, lambda: lpoly_from_counts(3, [12, 170, 2200], 13)),
+    (ValueError, lambda: lpoly_from_counts(2, [12], 13)),
+    (ValueError, lambda: zeta_series_expand(genus3, 3)),
+    (ValueError, lambda: norm_check(lpoly_from_trace(2, 5), 3, 2)),
+    (ValueError, lambda: norm_check(LPolynomial(2, 13, (1, 0, 0, 0, 169)), 2, 1)),
+    (ValueError, lambda: norm_check(lpoly_from_trace(6, 9), 2, 1)),
+    (DegenerateParameter, lambda: AdmissibleMap(f(0), f(1), f(2), f(3))),
+]
+assert point_order(P, 12) == 6
+for i, (error, call) in enumerate(cases):
+    try:
+        call()
+    except error:
+        continue
+    raise SystemExit(f"case {i} did not raise {error.__name__}")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_preconditions_raise_typed_errors(flags):
+    proc = subprocess.run([sys.executable, *flags, "-c", PRECONDITIONS],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 GOLDEN_LSERIES = {7: -4, 13: 2, 19: 8, 25: -5, 37: -10, 49: 9}
 
 
@@ -220,7 +263,8 @@ def test_hyperelliptic_count_conventions(F5):
 
 
 @pytest.mark.parametrize("f", [FieldSpec(5), FieldSpec(13), FieldSpec(101),
-                               FieldSpec(3, 2, (1, 0, 1))], ids=str)
+                               FieldSpec(3, 2, (1, 0, 1)), FieldSpec(3, 5, (1, 2, 0, 0, 0, 1)),
+                               FieldSpec(7, 3, (2, 0, 0, 1))], ids=str)
 def test_hyperelliptic_count_matches_element_loop(f):
     rng = random.Random(f.q)
     for deg in (5, 6, 5, 6):
